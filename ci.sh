@@ -153,21 +153,16 @@ cargo test -q --offline -p desalign-core --test workspace_steady_state
 
 # Retrieval gate (README.md "Sub-quadratic retrieval"): on a seeded
 # clustered workload the IVF index must hold recall@10 ≥ 0.95 against the
-# blocked exact scan, the exact backend must reproduce the dense cosine
-# path bit for bit (ids and f32 score bits of every top-10 list), and all
-# reported QPS must be finite. The bench enforces all three itself with
-# DESALIGN_RETRIEVAL_GATE=1; the greps below double-check the artifact so
-# a silent gate regression cannot pass.
-echo "==> retrieval_bench (recall + exact-bit-identity gate)"
+# exact scan, and all reported QPS must be finite. The bench enforces both
+# itself with DESALIGN_RETRIEVAL_GATE=1; the grep below double-checks the
+# artifact so a silent gate regression cannot pass. (The exact scan's bit
+# identity with the dense cosine path is a Rust test: retrieval_props.)
+echo "==> retrieval_bench (recall gate)"
 retrieval_out=$(mktemp)
 DESALIGN_RETRIEVAL_SIZES=2000 DESALIGN_RETRIEVAL_QUERIES=200 DESALIGN_RETRIEVAL_SAMPLES=2 \
     DESALIGN_RETRIEVAL_GATE=1 DESALIGN_RETRIEVAL_OUT="$retrieval_out" \
     cargo run -q --offline --release -p desalign-bench --bin retrieval_bench >/dev/null
 test -s "$retrieval_out" || { echo "    retrieval_bench did not write its JSON artifact"; exit 1; }
-if grep -q '"exact_bit_identical":false' "$retrieval_out"; then
-    echo "    EXACT-BACKEND DIVERGENCE: blocked scan is not bit-identical to the dense path"
-    exit 1
-fi
 if grep -q "NaN\|Infinity" "$retrieval_out"; then
     echo "    NON-FINITE METRICS: retrieval_bench artifact contains NaN/Infinity"
     exit 1

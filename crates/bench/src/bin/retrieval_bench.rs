@@ -1,19 +1,18 @@
-//! Retrieval scaling benchmark: dense cosine vs blocked exact vs IVF.
+//! Retrieval scaling benchmark: exact scan vs IVF through `ItemIndex`.
 //!
 //! For each corpus size the harness builds a clustered synthetic MMKG
-//! embedding table, perturbs item rows into queries, and times three
-//! top-10 retrieval paths:
+//! embedding table, perturbs item rows into queries, and times two top-10
+//! retrieval paths:
 //!
-//! - **dense** — materialize the full `queries × n` cosine matrix (the
-//!   historical path) and rank per row;
-//! - **exact** — the blocked `ExactRetriever` scan (bit-identical scores,
-//!   never materializes the matrix);
+//! - **exact** — the exact `ItemIndex` scan (bit-identical to the dense
+//!   cosine path, which the `retrieval_props` tests enforce; never
+//!   materializes the `queries × n` matrix);
 //! - **ivf** — the seeded IVF index at the configured `nprobe`.
 //!
 //! Alongside queries/sec it reports IVF recall@1/@10 against the exact
-//! top-k, the scanned-candidate fraction from the `retrieval.*` telemetry
-//! counters, and a dense-vs-exact **bit-identity** verdict over ids and
-//! score bits. The table is written to `BENCH_retrieval.json`.
+//! top-k and the scanned-candidate fraction from the `retrieval.*`
+//! telemetry counters. The table, with the host it ran on, is written to
+//! `BENCH_retrieval.json`.
 //!
 //! Knobs (all env vars):
 //! - `DESALIGN_RETRIEVAL_SIZES` — comma-separated corpus sizes (default
@@ -24,18 +23,13 @@
 //! - `DESALIGN_RETRIEVAL_CLUSTERS` — synthetic cluster count (default 64);
 //! - `DESALIGN_RETRIEVAL_NPROBE` — IVF cells probed per query (default 16);
 //! - `DESALIGN_RETRIEVAL_SAMPLES` — timing samples per path (default 3);
-//! - `DESALIGN_RETRIEVAL_MAX_DENSE` — skip the dense leg above this size
-//!   (default 200000: the materialized matrix is `queries × n` floats);
 //! - `DESALIGN_RETRIEVAL_OUT` — output path (default `BENCH_retrieval.json`);
-//! - `DESALIGN_RETRIEVAL_GATE=1` — exit non-zero unless recall@10 ≥ 0.95,
-//!   dense and exact agree bit-for-bit, and every QPS is finite.
+//! - `DESALIGN_RETRIEVAL_GATE=1` — exit non-zero unless recall@10 ≥ 0.95
+//!   and every QPS is finite.
 
 use desalign_bench::timing::bench_stats;
 use desalign_bench::{dump_json, or_die};
-use desalign_eval::{
-    batch_top_k, cosine_similarity, DenseRetriever, ExactRetriever, IvfIndex, IvfParams,
-    IvfRetriever,
-};
+use desalign_eval::{IndexKind, ItemIndex, IvfParams, RetrievalConfig};
 use desalign_tensor::{rng_from_seed, Matrix, Rng64};
 use desalign_util::{json, Json};
 use std::time::Instant;
@@ -82,8 +76,15 @@ fn synth_queries(rng: &mut Rng64, items: &Matrix, nq: usize) -> Matrix {
     Matrix::from_vec(nq, dim, data)
 }
 
-fn ids_and_bits(lists: &[Vec<(usize, f32)>]) -> Vec<Vec<(usize, u32)>> {
-    lists.iter().map(|l| l.iter().map(|&(i, s)| (i, s.to_bits())).collect()).collect()
+/// The first `model name` in `/proc/cpuinfo`, or `unknown`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name").and_then(|r| r.split_once(':')).map(|(_, m)| m.trim().to_string()))
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 fn mean_recall(approx: &[Vec<(usize, f32)>], exact: &[Vec<(usize, f32)>], k: usize) -> f64 {
@@ -104,60 +105,40 @@ fn mean_recall(approx: &[Vec<(usize, f32)>], exact: &[Vec<(usize, f32)>], k: usi
 struct SizeReport {
     row: Json,
     recall_at_10: f64,
-    bit_identical: bool,
-    qps: Vec<f64>,
+    qps: [f64; 2],
 }
 
-fn run_size(n: usize, nq: usize, dim: usize, clusters: usize, nprobe: usize, samples: usize, max_dense: usize) -> SizeReport {
+fn run_size(n: usize, nq: usize, dim: usize, clusters: usize, nprobe: usize, samples: usize) -> SizeReport {
     let mut rng = rng_from_seed(0xD15A ^ n as u64);
     let items = synth_items(&mut rng, n, dim, clusters.min(n));
     let queries = synth_queries(&mut rng, &items, nq.min(n.max(1)));
     let nq = queries.rows();
 
-    // --- exact blocked scan ------------------------------------------------
-    let exact = or_die("exact retriever", ExactRetriever::new(&queries, &items));
-    let exact_lists = batch_top_k(&exact, K);
+    // --- exact scan ----------------------------------------------------------
+    let exact_cfg = RetrievalConfig { kind: IndexKind::Exact, ..RetrievalConfig::default() };
+    let exact = or_die("exact index", ItemIndex::build(&items, &exact_cfg));
+    let exact_lists = or_die("exact search", exact.search_batch(&queries, K));
     let exact_stats = bench_stats(&format!("exact/{n}"), samples, || {
-        std::hint::black_box(batch_top_k(&exact, K));
+        std::hint::black_box(exact.search_batch(&queries, K).ok());
     });
     let qps_exact = nq as f64 / exact_stats.median.as_secs_f64();
 
-    // --- dense materialized path (the historical baseline) -----------------
-    let (qps_dense, bit_identical) = if n <= max_dense {
-        let dense_lists = {
-            let sim = cosine_similarity(&queries, &items);
-            let dense = DenseRetriever::new(&sim, (0..nq).collect(), (0..n).collect());
-            batch_top_k(&dense, K)
-        };
-        let dense_stats = bench_stats(&format!("dense/{n}"), samples, || {
-            let sim = cosine_similarity(&queries, &items);
-            let dense = DenseRetriever::new(&sim, (0..nq).collect(), (0..n).collect());
-            std::hint::black_box(batch_top_k(&dense, K));
-        });
-        let identical = ids_and_bits(&dense_lists) == ids_and_bits(&exact_lists);
-        (Some(nq as f64 / dense_stats.median.as_secs_f64()), identical)
-    } else {
-        println!("dense/{n}: skipped (> DESALIGN_RETRIEVAL_MAX_DENSE = {max_dense})");
-        (None, true)
-    };
-
     // --- IVF ---------------------------------------------------------------
-    let params = IvfParams { nprobe, ..IvfParams::default() };
+    let ivf_cfg = RetrievalConfig { kind: IndexKind::Ivf, ivf: IvfParams { nprobe, ..IvfParams::default() } };
     let build_start = Instant::now();
-    let index = or_die("ivf build", IvfIndex::build(&items, &params));
+    let ivf = or_die("ivf build", ItemIndex::build(&items, &ivf_cfg));
     let build_secs = build_start.elapsed().as_secs_f64();
-    let num_cells = index.num_cells();
-    let ivf = or_die("ivf retriever", IvfRetriever::new(&queries, index));
+    let num_cells = ivf.num_cells();
 
     desalign_telemetry::set_enabled(Some(true));
     desalign_telemetry::reset_metrics();
-    let ivf_lists = batch_top_k(&ivf, K);
+    let ivf_lists = or_die("ivf search", ivf.search_batch(&queries, K));
     let probes = desalign_telemetry::counter("retrieval.probes").get();
     let candidates = desalign_telemetry::counter("retrieval.candidates").get();
     desalign_telemetry::set_enabled(Some(false));
 
     let ivf_stats = bench_stats(&format!("ivf/{n}"), samples, || {
-        std::hint::black_box(batch_top_k(&ivf, K));
+        std::hint::black_box(ivf.search_batch(&queries, K).ok());
     });
     let qps_ivf = nq as f64 / ivf_stats.median.as_secs_f64();
 
@@ -166,16 +147,11 @@ fn run_size(n: usize, nq: usize, dim: usize, clusters: usize, nprobe: usize, sam
     let scanned_fraction = candidates as f64 / (nq as f64 * n.max(1) as f64);
 
     println!(
-        "n={n:<8} build {build_secs:>7.3}s cells {num_cells:<5} probes/q {:<5.1} scanned {:>5.1}%  recall@1 {recall_at_1:.3} recall@10 {recall_at_10:.3}  QPS exact {qps_exact:>10.0} ivf {qps_ivf:>10.0} dense {}",
+        "n={n:<8} build {build_secs:>7.3}s cells {num_cells:<5} probes/q {:<5.1} scanned {:>5.1}%  recall@1 {recall_at_1:.3} recall@10 {recall_at_10:.3}  QPS exact {qps_exact:>10.0} ivf {qps_ivf:>10.0}",
         probes as f64 / nq.max(1) as f64,
         scanned_fraction * 100.0,
-        qps_dense.map_or("—".into(), |q| format!("{q:.0}")),
     );
 
-    let mut qps = vec![qps_exact, qps_ivf];
-    if let Some(q) = qps_dense {
-        qps.push(q);
-    }
     let row = json!({
         "n": n,
         "queries": nq,
@@ -183,15 +159,13 @@ fn run_size(n: usize, nq: usize, dim: usize, clusters: usize, nprobe: usize, sam
         "nprobe": nprobe,
         "num_cells": num_cells,
         "ivf_build_secs": build_secs,
-        "qps_dense": qps_dense,
         "qps_exact": qps_exact,
         "qps_ivf": qps_ivf,
         "recall_at_1": recall_at_1,
         "recall_at_10": recall_at_10,
         "scanned_fraction": scanned_fraction,
-        "exact_bit_identical": bit_identical,
     });
-    SizeReport { row, recall_at_10, bit_identical, qps }
+    SizeReport { row, recall_at_10, qps: [qps_exact, qps_ivf] }
 }
 
 fn main() {
@@ -201,7 +175,6 @@ fn main() {
     let clusters = env_usize("DESALIGN_RETRIEVAL_CLUSTERS", 64);
     let nprobe = env_usize("DESALIGN_RETRIEVAL_NPROBE", 16);
     let samples = env_usize("DESALIGN_RETRIEVAL_SAMPLES", 3);
-    let max_dense = env_usize("DESALIGN_RETRIEVAL_MAX_DENSE", 200_000);
     let gate = std::env::var("DESALIGN_RETRIEVAL_GATE").as_deref() == Ok("1");
     let out = std::env::var("DESALIGN_RETRIEVAL_OUT").unwrap_or_else(|_| "BENCH_retrieval.json".into());
 
@@ -209,12 +182,9 @@ fn main() {
     let mut rows = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for &n in &sizes {
-        let report = run_size(n, nq, dim, clusters, nprobe, samples, max_dense);
+        let report = run_size(n, nq, dim, clusters, nprobe, samples);
         if report.recall_at_10 < RECALL_FLOOR {
             failures.push(format!("n={n}: recall@10 {:.3} < {RECALL_FLOOR}", report.recall_at_10));
-        }
-        if !report.bit_identical {
-            failures.push(format!("n={n}: dense and exact top-{K} lists are not bit-identical"));
         }
         if report.qps.iter().any(|q| !q.is_finite() || *q <= 0.0) {
             failures.push(format!("n={n}: non-finite or zero QPS {:?}", report.qps));
@@ -223,6 +193,11 @@ fn main() {
     }
 
     dump_json(&out, &json!({
+        "host": json!({
+            "cpu_model": cpu_model(),
+            "host_threads": std::thread::available_parallelism().map_or(1, |n| n.get()),
+            "parallel_threads": desalign_parallel::current_threads(),
+        }),
         "k": K,
         "recall_floor": RECALL_FLOOR,
         "queries": nq,
@@ -240,6 +215,6 @@ fn main() {
         }
         println!("(gate not enforced: set DESALIGN_RETRIEVAL_GATE=1 to fail on this)");
     } else {
-        println!("retrieval gate OK: recall@10 ≥ {RECALL_FLOOR}, dense ≡ exact bit-for-bit");
+        println!("retrieval gate OK: recall@10 ≥ {RECALL_FLOOR}, every QPS finite");
     }
 }

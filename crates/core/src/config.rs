@@ -102,17 +102,13 @@ pub enum StructureEncoderKind {
     Gcn,
 }
 
-/// Which retrieval backend evaluation, CSLS decoding, and pseudo-pair
-/// mining run through (ROADMAP item 2: sub-quadratic retrieval).
+/// Which [`desalign_eval::ItemIndex`] backend evaluation, CSLS decoding,
+/// pseudo-pair mining and serving search through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetrievalBackend {
-    /// Historical path: materialize the dense SP-averaged similarity
-    /// matrix. Bit-for-bit identical to every pre-retrieval release;
-    /// memory is `O(n_s × n_t)`.
-    Dense,
-    /// Blocked exact scan over SP-flattened embeddings — never builds the
-    /// dense matrix; scores are exact cosines of the concatenated
-    /// per-round SP states.
+    /// Exact scan over SP-flattened embeddings: scores are exact cosines
+    /// of the concatenated per-round SP states, i.e. the mean of the
+    /// per-round cosines.
     Exact,
     /// Deterministic IVF approximate index over the same embeddings —
     /// sub-quadratic search, recall-gated by `ci.sh` / `retrieval_bench`.
@@ -122,8 +118,7 @@ pub enum RetrievalBackend {
 /// Sub-quadratic retrieval settings.
 #[derive(Clone, Copy, Debug)]
 pub struct RetrievalSettings {
-    /// Backend selection (default [`RetrievalBackend::Dense`], preserving
-    /// historical results exactly).
+    /// Backend selection (default [`RetrievalBackend::Exact`]).
     pub backend: RetrievalBackend,
     /// IVF cell count; `0` selects `⌈√n⌉` automatically.
     pub nlist: usize,
@@ -133,26 +128,24 @@ pub struct RetrievalSettings {
     /// IVF k-means refinement rounds.
     pub kmeans_iters: usize,
     /// CSLS neighbourhood size `k` used by CSLS decoding. Must be ≥ 1 and
-    /// smaller than either graph's entity count (larger values would be
-    /// silently clamped by the rescaler — see `try_csls_rescale`).
+    /// smaller than either graph's entity count (larger values would make
+    /// the neighbourhood mean degenerate to a global mean).
     pub csls_k: usize,
 }
 
 impl Default for RetrievalSettings {
     fn default() -> Self {
-        Self { backend: RetrievalBackend::Dense, nlist: 0, nprobe: 16, kmeans_iters: 8, csls_k: 10 }
+        Self { backend: RetrievalBackend::Exact, nlist: 0, nprobe: 16, kmeans_iters: 8, csls_k: 10 }
     }
 }
 
 impl RetrievalSettings {
     /// The embedding-level `desalign-eval` configuration this selects.
-    /// [`RetrievalBackend::Dense`] maps to the exact backend (same scores,
-    /// no dense matrix) for APIs that only exist at the embedding level.
     pub fn eval_config(&self, seed: u64) -> desalign_eval::RetrievalConfig {
         desalign_eval::RetrievalConfig {
             kind: match self.backend {
+                RetrievalBackend::Exact => desalign_eval::IndexKind::Exact,
                 RetrievalBackend::Ivf => desalign_eval::IndexKind::Ivf,
-                _ => desalign_eval::IndexKind::Exact,
             },
             ivf: desalign_eval::IvfParams {
                 nlist: self.nlist,
@@ -423,7 +416,6 @@ impl ToJson for RetrievalSettings {
     fn to_json(&self) -> Json {
         json!({
             "backend": match self.backend {
-                RetrievalBackend::Dense => "Dense",
                 RetrievalBackend::Exact => "Exact",
                 RetrievalBackend::Ivf => "Ivf",
             },

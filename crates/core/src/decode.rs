@@ -1,37 +1,16 @@
-//! Alternative decoding strategies on top of the similarity matrix.
+//! Gradient-flow decoding on top of the similarity matrix.
 //!
-//! The paper evaluates with plain cosine ranking; two refinements are
-//! provided as drop-in post-processing:
-//!
-//! - [`csls_decode`] — CSLS hubness correction (standard in the EA
-//!   literature; the paper's related work applies it);
-//! - [`gradient_flow_decode`] — the energy-gradient-flow decoding of the
-//!   authors' companion work (reference 19 of the paper, "Gradient Flow
-//!   of Energy: a general and efficient approach for entity alignment
-//!   decoding"): the similarity matrix itself is treated as a feature
-//!   field over each graph and evolved by the same `x ← Ãx` flow used by
-//!   Semantic Propagation, mixing neighbourhood consensus into the
-//!   pairwise scores.
+//! The paper evaluates with plain cosine ranking. CSLS hubness correction
+//! runs on the retrieval index (`DesalignModel::csls_candidates`); this
+//! module adds [`gradient_flow_decode`], the energy-gradient-flow decoding
+//! of the authors' companion work (reference 19 of the paper, "Gradient
+//! Flow of Energy: a general and efficient approach for entity alignment
+//! decoding"): the similarity matrix itself is treated as a feature field
+//! over each graph and evolved by the same `x ← Ãx` flow used by Semantic
+//! Propagation, mixing neighbourhood consensus into the pairwise scores.
 
-use desalign_eval::{csls_rescale, try_csls_rescale, SimilarityMatrix};
+use desalign_eval::SimilarityMatrix;
 use desalign_graph::{propagate_features, Csr, PropagationConfig};
-
-/// CSLS re-scoring with the standard `k = 10` neighbourhood. The
-/// neighbourhood is silently clamped on matrices smaller than 10×10; use
-/// [`csls_decode_with`] to reject degenerate sizes instead.
-pub fn csls_decode(sim: &SimilarityMatrix) -> SimilarityMatrix {
-    csls_rescale(sim, 10)
-}
-
-/// CSLS re-scoring with an explicit, validated neighbourhood size (wire
-/// `DesalignConfig::retrieval.csls_k` here).
-///
-/// # Errors
-/// `DefectClass::Config` when `k` is zero or exceeds either side of the
-/// matrix — the cases [`csls_decode`] silently clamps.
-pub fn csls_decode_with(sim: &SimilarityMatrix, k: usize) -> Result<SimilarityMatrix, desalign_util::DesalignError> {
-    try_csls_rescale(sim, k)
-}
 
 /// Gradient-flow decoding: evolves the similarity matrix `Ω` along both
 /// graphs' Dirichlet-energy gradient flows and averages the states.
@@ -114,15 +93,6 @@ mod tests {
         let pairs: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
         let after = evaluate_ranking(&decoded, &pairs);
         assert!(after.mrr > 0.0);
-    }
-
-    #[test]
-    fn csls_decode_preserves_shape() {
-        let mut rng = rng_from_seed(2);
-        let sim = SimilarityMatrix::new(normal_matrix(&mut rng, 4, 6, 0.0, 1.0));
-        let out = csls_decode(&sim);
-        assert_eq!(out.shape(), (4, 6));
-        assert!(out.scores().all_finite());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use config::{
     Ablation, DesalignConfig, RetrievalBackend, RetrievalSettings, SampledTrainingSettings, StructureEncoderKind,
     WatchdogConfig,
 };
-pub use decode::{csls_decode, csls_decode_with, gradient_flow_decode};
+pub use decode::gradient_flow_decode;
 pub use encoder::{EncodedGraph, MultiModalEncoder, Modality};
 pub use energy::{EnergyDiagnostics, EnergyTrace};
 pub use iterative::{iterative_fit, IterativeConfig, IterativeReport};

@@ -4,7 +4,7 @@
 //! divergence watchdog) lives in the sibling [`crate::trainer`] module;
 //! full-state persistence lives in [`crate::checkpoint`].
 
-use crate::config::{DesalignConfig, RetrievalBackend};
+use crate::config::DesalignConfig;
 use crate::encoder::{GraphInputs, MultiModalEncoder};
 use crate::energy::{EnergyDiagnostics, EnergyTrace};
 use crate::propagate::{
@@ -12,7 +12,7 @@ use crate::propagate::{
     semantic_propagation_similarity, semantic_propagation_states,
 };
 use crate::trainer::ChaosPlan;
-use desalign_eval::{evaluate_ranking, AlignmentMetrics, SimilarityMatrix};
+use desalign_eval::{AlignmentMetrics, SimilarityMatrix};
 use desalign_graph::{singular_value_range, Csr};
 use desalign_mmkg::AlignmentDataset;
 use desalign_nn::{ParamStore, Session};
@@ -182,70 +182,50 @@ impl DesalignModel {
     }
 
     /// Evaluates H@k / MRR on the dataset's test pairs through the
-    /// configured retrieval backend ([`RetrievalBackend::Dense`] by
-    /// default, which reproduces the historical dense path bit-for-bit).
+    /// configured retrieval backend (see [`Self::evaluate_pairs`]).
     pub fn evaluate(&self, dataset: &AlignmentDataset) -> AlignmentMetrics {
         self.evaluate_pairs(&dataset.test_pairs)
     }
 
-    /// Backend-dispatched evaluation over arbitrary gold pairs (the
-    /// trainer uses this for the validation split). Non-dense backends
-    /// search the SP-flattened [`Self::retrieval_embeddings`]; if the
-    /// retrieval build fails (e.g. non-finite embeddings mid-divergence),
-    /// the dense path is used as a fallback and
-    /// `retrieval.fallback_dense` is counted.
+    /// Evaluation over arbitrary gold pairs (the trainer uses this for the
+    /// validation split), searching the SP-flattened
+    /// [`Self::retrieval_embeddings`] through the configured backend.
+    ///
+    /// A validated model fails retrieval only on non-finite embeddings
+    /// (a diverged model) or pairs outside the dataset. Either way every
+    /// query counts as a miss: the metrics are zero over `pairs.len()`
+    /// queries, and `retrieval.build_errors` is counted.
     pub fn evaluate_pairs(&self, pairs: &[(usize, usize)]) -> AlignmentMetrics {
-        if self.cfg.retrieval.backend == RetrievalBackend::Dense {
-            return evaluate_ranking(&self.similarity(), pairs);
-        }
         let (z_s, z_t) = self.retrieval_embeddings();
-        match desalign_eval::evaluate_ranking_embeddings(&z_s, &z_t, pairs, &self.cfg.retrieval.eval_config(self.seed)) {
-            Ok(m) => m,
-            Err(_) => {
-                if desalign_telemetry::enabled() {
-                    desalign_telemetry::counter("retrieval.fallback_dense").incr();
-                }
-                evaluate_ranking(&self.similarity(), pairs)
-            }
-        }
+        desalign_eval::evaluate_ranking_embeddings(&z_s, &z_t, pairs, &self.cfg.retrieval.eval_config(self.seed))
+            .unwrap_or_else(|_| {
+                count_retrieval_build_error();
+                AlignmentMetrics { num_queries: pairs.len(), ..AlignmentMetrics::default() }
+            })
     }
 
     /// Mines mutual-nearest-neighbour pseudo pairs among the candidate
-    /// entities through the configured backend. Dense reproduces the
-    /// historical `mutual_nearest_neighbours` over the SP-averaged matrix;
-    /// Exact/Ivf search the SP-flattened embeddings without materializing
-    /// it (dense fallback on retrieval errors, as in
-    /// [`Self::evaluate_pairs`]).
+    /// entities through the configured backend, searching the SP-flattened
+    /// embeddings. Mines nothing (and counts `retrieval.build_errors`)
+    /// when retrieval fails, as in [`Self::evaluate_pairs`].
     pub fn mine_pseudo_pairs(
         &self,
         source_candidates: &[usize],
         target_candidates: &[usize],
         min_score: f32,
     ) -> Vec<(usize, usize, f32)> {
-        if self.cfg.retrieval.backend != RetrievalBackend::Dense {
-            let (z_s, z_t) = self.retrieval_embeddings();
-            match desalign_eval::mine_mutual_nn(
-                &z_s,
-                &z_t,
-                source_candidates,
-                target_candidates,
-                min_score,
-                &self.cfg.retrieval.eval_config(self.seed),
-            ) {
-                Ok(pairs) => return pairs,
-                Err(_) => {
-                    if desalign_telemetry::enabled() {
-                        desalign_telemetry::counter("retrieval.fallback_dense").incr();
-                    }
-                }
-            }
-        }
-        desalign_eval::mutual_nearest_neighbours(&self.similarity(), source_candidates, target_candidates, min_score)
+        let (z_s, z_t) = self.retrieval_embeddings();
+        let cfg = self.cfg.retrieval.eval_config(self.seed);
+        desalign_eval::mine_mutual_nn(&z_s, &z_t, source_candidates, target_candidates, min_score, &cfg)
+            .unwrap_or_else(|_| {
+                count_retrieval_build_error();
+                Vec::new()
+            })
     }
 
     /// CSLS-rescored top-`topk` alignment candidates per source entity,
     /// searched through the configured backend with the configured
-    /// `retrieval.csls_k` neighbourhood (Dense maps to the exact scan).
+    /// `retrieval.csls_k` neighbourhood.
     ///
     /// # Errors
     /// Propagates `csls_retrieve_top_k`'s typed errors (degenerate `k`,
@@ -263,13 +243,13 @@ impl DesalignModel {
 
     /// SP-flattened retrieval embeddings `(Z_s, Z_t)`: every Semantic
     /// Propagation round's state, ℓ2-normalized per round and concatenated
-    /// along the feature axis. After the retriever's own row
-    /// normalization, the inner product of two flattened rows equals the
-    /// *mean* of the per-round cosines — the same quantity the dense
-    /// SP-averaged [`Self::similarity`] matrix holds (exactly when all
-    /// rounds are non-degenerate, up to float associativity) — so
-    /// index-based search ranks by the paper's decision rule without ever
-    /// forming the `n_s × n_t` matrix.
+    /// along the feature axis. After the index's own row normalization,
+    /// the inner product of two flattened rows equals the *mean* of the
+    /// per-round cosines — the same quantity the dense SP-averaged
+    /// [`Self::similarity`] matrix holds (exactly when all rounds are
+    /// non-degenerate, up to float associativity) — so index-based search
+    /// ranks by the paper's decision rule (Algorithm 1, line 15) without
+    /// ever forming the `n_s × n_t` matrix.
     pub fn retrieval_embeddings(&self) -> (Matrix, Matrix) {
         let iterations = if self.cfg.ablation.use_semantic_propagation { self.cfg.sp_iterations } else { 0 };
         let (states_s, states_t) = self.sp_states(iterations);
@@ -354,6 +334,13 @@ impl DesalignModel {
     /// and dataset shape.
     pub fn load_weights(&mut self, path: &std::path::Path) -> std::io::Result<()> {
         self.store.load_json(path)
+    }
+}
+
+/// Counts one failed retrieval (see [`DesalignModel::evaluate_pairs`]).
+fn count_retrieval_build_error() {
+    if desalign_telemetry::enabled() {
+        desalign_telemetry::counter("retrieval.build_errors").incr();
     }
 }
 
@@ -445,6 +432,23 @@ mod tests {
         fresh.load_weights(&path).expect("load");
         assert_eq!(fresh.evaluate(&ds), trained);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn diverged_model_scores_zero_hits_not_a_perfect_score() {
+        let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(60).generate(8);
+        let mut model = DesalignModel::new(tiny_cfg(), &ds, 29);
+        let ids: Vec<_> = model.store.ids().collect();
+        for id in ids {
+            model.store.value_mut(id).as_mut_slice().fill(f32::NAN);
+        }
+        let (z_s, z_t) = model.retrieval_embeddings();
+        let cfg = model.config().retrieval.eval_config(model.seed());
+        let err = desalign_eval::evaluate_ranking_embeddings(&z_s, &z_t, &ds.test_pairs, &cfg).unwrap_err();
+        assert_eq!(err.class, desalign_util::DefectClass::NonFiniteFeature);
+        let metrics = model.evaluate(&ds);
+        assert_eq!(metrics, AlignmentMetrics { num_queries: ds.test_pairs.len(), ..AlignmentMetrics::default() });
+        assert!(model.mine_pseudo_pairs(&[0, 1, 2], &[0, 1, 2], -1.0).is_empty());
     }
 
     #[test]

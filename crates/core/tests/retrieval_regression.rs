@@ -1,11 +1,11 @@
-//! Regression pins for the retrieval refactor.
+//! Regression pins for the retrieval index.
 //!
 //! The H@k / MRR bit patterns below were captured on the seed synthetic
-//! dataset **before** `evaluate_ranking` was rewired through the
-//! `Retriever` trait. They pin, to the bit, that the refactor is
-//! behaviour-preserving on the default (dense) backend, that the exact
-//! blocked backend reproduces the same bits, and that the model-level
-//! CSLS-k validation rejects the silently-clamping configurations.
+//! dataset when evaluation still ranked a materialized dense similarity
+//! matrix. They pin, to the bit, that the default backend (the exact scan
+//! over `DesalignModel::retrieval_embeddings`) reproduces that path, and
+//! that the model-level CSLS-k validation rejects the silently-clamping
+//! configurations.
 
 use desalign_core::{DesalignConfig, DesalignModel, RetrievalBackend};
 use desalign_mmkg::{DatasetSpec, FeatureDims, SynthConfig};
@@ -35,16 +35,18 @@ fn metric_bits(m: &desalign_eval::AlignmentMetrics) -> (u32, u32, u32) {
 }
 
 #[test]
-fn dense_backend_reproduces_pre_refactor_bits() {
+fn default_backend_reproduces_pre_refactor_bits() {
     let ds = seed_dataset();
-    let mut model = DesalignModel::new(tiny_cfg(), &ds, 7);
+    let cfg = tiny_cfg();
+    assert_eq!(cfg.retrieval.backend, RetrievalBackend::Exact, "the pins below are the default backend's");
+    let mut model = DesalignModel::new(cfg, &ds, 7);
 
     let before = model.evaluate(&ds);
     assert_eq!(before.num_queries, NUM_QUERIES);
     assert_eq!(
         metric_bits(&before),
         UNTRAINED_BITS,
-        "untrained metrics moved: got {before:?} — the evaluate_ranking refactor is no longer behaviour-preserving"
+        "untrained metrics moved: got {before:?} — the exact index no longer reproduces the dense ranking"
     );
 
     model.fit(&ds);
@@ -58,26 +60,9 @@ fn dense_backend_reproduces_pre_refactor_bits() {
 }
 
 #[test]
-fn exact_backend_matches_dense_bit_for_bit() {
-    let ds = seed_dataset();
-    let mut cfg = tiny_cfg();
-    cfg.retrieval.backend = RetrievalBackend::Exact;
-    let model = DesalignModel::new(cfg, &ds, 7);
-    let exact = model.evaluate(&ds);
-    assert_eq!(exact.num_queries, NUM_QUERIES);
-    assert_eq!(
-        metric_bits(&exact),
-        UNTRAINED_BITS,
-        "exact blocked backend diverged from the dense pin: got {exact:?}"
-    );
-}
-
-#[test]
 fn ivf_backend_stays_close_on_the_seed_workload() {
     // IVF is approximate: no bit pin, but on the 54-pair seed workload its
-    // metrics must stay within a few candidates of exact, and the pipeline
-    // must not fall back to dense silently producing the exact bits plus
-    // drift elsewhere.
+    // metrics must stay within a few candidates of exact.
     let ds = seed_dataset();
     let mut cfg = tiny_cfg();
     cfg.retrieval.backend = RetrievalBackend::Ivf;
@@ -103,20 +88,4 @@ fn model_rejects_csls_k_larger_than_the_candidate_pool() {
     };
     assert_eq!(err.class, DefectClass::Config);
     assert!(err.to_string().contains("csls_k"), "error should name the knob: {err}");
-}
-
-#[test]
-fn csls_decode_with_rejects_what_csls_decode_clamps() {
-    // The historical defect: csls_decode silently clamps k = 10 on a 4×6
-    // matrix. The validated variant refuses the same input.
-    use desalign_eval::SimilarityMatrix;
-    use desalign_tensor::{normal_matrix, rng_from_seed};
-    let mut rng = rng_from_seed(2);
-    let sim = SimilarityMatrix::new(normal_matrix(&mut rng, 4, 6, 0.0, 1.0));
-    let clamped = desalign_core::csls_decode(&sim); // legacy path still works
-    assert_eq!(clamped.shape(), (4, 6));
-    let err = desalign_core::csls_decode_with(&sim, 10).expect_err("k = 10 > 4 rows must be rejected");
-    assert_eq!(err.class, DefectClass::Config);
-    let ok = desalign_core::csls_decode_with(&sim, 3).expect("k = 3 fits both sides");
-    assert_eq!(ok.shape(), (4, 6));
 }

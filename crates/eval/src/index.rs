@@ -1,26 +1,24 @@
-//! Sub-quadratic retrieval: the [`Retriever`] abstraction, a blocked exact
-//! scanner, and a deterministic IVF approximate index.
+//! Sub-quadratic retrieval: [`ItemIndex`], the one nearest-neighbour index
+//! every embedding-level consumer searches through.
 //!
-//! Every retrieval consumer in the reproduction — `evaluate_ranking`, CSLS
-//! re-scoring, mutual-NN pseudo-pair mining — historically materialized the
-//! dense `n_s × n_t` similarity matrix, which caps the pipeline at toy
-//! scale. This module factors the three consumers onto one [`Retriever`]
-//! trait with two memory-bounded backends:
+//! An index is built over a fixed **item** set only; queries arrive as raw
+//! rows, alone or in batches. Evaluation, mutual-NN pseudo-pair mining,
+//! candidate-set CSLS and the server all go through it, so none of them
+//! materializes the dense `n_s × n_t` similarity matrix. Two backends:
 //!
-//! - [`ExactRetriever`] — a blocked/tiled scan over ℓ2-normalized rows.
-//!   It never materializes more than one score at a time, yet is
-//!   **bit-identical** to the dense [`cosine_similarity`] path: both
-//!   normalize with the same `l2_normalize_rows(1e-9)` and score with the
-//!   same fixed-accumulator [`dot`], and top-k selection uses a strict
-//!   total order (score descending, id ascending) whose result is
-//!   independent of scan order, block size, and thread count.
-//! - [`IvfRetriever`] — an IVF (inverted-file) index: seeded spherical
-//!   k-means over `Rng64` partitions the items into `nlist` cells; a
-//!   query scans only the `nprobe` cells whose centroids score highest.
-//!   Build and search are bit-deterministic under `DESALIGN_THREADS`
-//!   because assignment parallelizes per row (each row's result depends
-//!   only on that row) and centroid updates accumulate serially in item
-//!   order.
+//! - [`IndexKind::Exact`] — a sequential scan over ℓ2-normalized rows,
+//!   keeping only a bounded top-k buffer. It is **bit-identical** to the
+//!   dense [`cosine_similarity`] path: both normalize with the same
+//!   `1e-9`-eps rule and score with the same fixed-accumulator [`dot`],
+//!   and top-k selection uses a strict total order (score descending, id
+//!   ascending) whose result is independent of scan order and thread
+//!   count.
+//! - [`IndexKind::Ivf`] — an IVF (inverted-file) index: seeded spherical
+//!   k-means over `Rng64` partitions the items into `nlist` cells; a query
+//!   scans only the `nprobe` cells whose centroids score highest. Build and
+//!   search are bit-deterministic under `DESALIGN_THREADS` because
+//!   assignment parallelizes per row (each row's result depends only on
+//!   that row) and centroid updates accumulate serially in item order.
 //!
 //! Approximation is surfaced, never silent: telemetry counters
 //! `retrieval.probes` / `retrieval.candidates` record how much of the
@@ -29,13 +27,9 @@
 //!
 //! [`cosine_similarity`]: crate::cosine_similarity
 
-use crate::{AlignmentMetrics, SimilarityMatrix};
 use desalign_tensor::{dot, rng_from_seed, Matrix, SliceRandom};
 use desalign_util::{DefectClass, DesalignError};
 use std::sync::OnceLock;
-
-/// Default block length (rows per tile) for the blocked exact scan.
-pub const DEFAULT_BLOCK_LEN: usize = 256;
 
 /// Search-volume telemetry. Cached handles so the gated hot path pays one
 /// atomic load + two atomic adds (same idiom as `desalign-parallel`).
@@ -60,22 +54,29 @@ fn count_search(probes: u64, candidates: u64) {
     }
 }
 
-/// The strict total order used everywhere in this module: higher score
-/// first, ties broken by **ascending id**. Total because ids are unique
-/// within one scan; NaN scores sort as −∞ (below every real score), so a
-/// poisoned candidate can never displace a real one. (Index constructors
-/// reject non-finite rows; this only matters for the dense bridge.)
+/// The strict total order used for every top-k selection in this crate:
+/// higher score first, ties broken by **ascending id**. Total because ids
+/// are unique within one scan; NaN scores sort as −∞ (below every real
+/// score), so a poisoned candidate can never displace a real one. (The
+/// index rejects non-finite rows; NaN only reaches this order through the
+/// dense [`mutual_nearest_neighbours`](crate::mutual_nearest_neighbours).)
 #[inline]
-fn beats(a: (usize, f32), b: (usize, f32)) -> bool {
+pub(crate) fn beats(a: (usize, f32), b: (usize, f32)) -> bool {
     let sa = if a.1.is_nan() { f32::NEG_INFINITY } else { a.1 };
     let sb = if b.1.is_nan() { f32::NEG_INFINITY } else { b.1 };
     sa > sb || (sa == sb && a.0 < b.0)
 }
 
+/// The [`beats`]-best of `scored`, or `None` when it is empty — the same
+/// entry a one-slot [`TopK`] keeps.
+pub(crate) fn top1(scored: impl Iterator<Item = (usize, f32)>) -> Option<(usize, f32)> {
+    scored.reduce(|best, cand| if beats(cand, best) { cand } else { best })
+}
+
 /// Bounded top-k buffer over the [`beats`] order. Because the order is a
 /// strict total order on distinct ids, the final contents (and their
 /// sorted layout) depend only on the offered *set*, not the offer order —
-/// the keystone of block-size and thread-count invariance.
+/// the keystone of thread-count invariance.
 struct TopK {
     k: usize,
     entries: Vec<(usize, f32)>,
@@ -116,241 +117,28 @@ fn ensure_finite(m: &Matrix, location: &str) -> Result<(), DesalignError> {
             return Err(DesalignError::new(
                 DefectClass::NonFiniteFeature,
                 format!("{location}[{i}]"),
-                "embedding row contains NaN or ±inf; refusing to build a retriever over it",
+                "embedding row contains NaN or ±inf; refusing to search with it",
             ));
         }
     }
     Ok(())
 }
 
-fn ensure_same_dim(queries: &Matrix, items: &Matrix, location: &str) -> Result<(), DesalignError> {
-    if queries.cols() != items.cols() {
-        return Err(DesalignError::new(
-            DefectClass::DimensionMismatch,
-            location,
-            format!("query dim {} != item dim {}", queries.cols(), items.cols()),
-        ));
+/// Per-row ℓ2 normalization matching `l2_normalize_rows(1e-9)` bit-for-bit
+/// (same in-order sum-of-squares, same `> eps` guard, same division).
+fn normalized_query(query: &[f32]) -> Vec<f32> {
+    let mut row = query.to_vec();
+    let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
+    if norm > 1e-9 {
+        for v in &mut row {
+            *v /= norm;
+        }
     }
-    Ok(())
-}
-
-/// A nearest-neighbour search backend over a fixed query set and item set.
-///
-/// Queries and items are addressed by **position** (`0..num_queries`,
-/// `0..num_items`); callers that search over candidate subsets map
-/// positions back to entity ids themselves. All methods are `&self` and
-/// implementations are `Sync`, so batch drivers parallelize per query with
-/// bit-identical results at any thread count.
-pub trait Retriever: Sync {
-    /// Number of query rows.
-    fn num_queries(&self) -> usize;
-    /// Number of indexed items.
-    fn num_items(&self) -> usize;
-    /// Similarity of query `q` to item `item` (always exact, even on
-    /// approximate backends — used for gold scores and re-scoring).
-    fn score(&self, q: usize, item: usize) -> f32;
-    /// Optimistic competition rank of `gold` for query `q`:
-    /// `1 + |{examined items scoring strictly above gold}|`. Approximate
-    /// backends count only the items their probes examine.
-    fn rank_of(&self, q: usize, gold: usize) -> usize;
-    /// The `k` best items for query `q`, sorted by descending score with
-    /// ties broken by ascending item position. Returns fewer than `k`
-    /// entries when the (examined) corpus is smaller than `k`.
-    fn top_k(&self, q: usize, k: usize) -> Vec<(usize, f32)>;
+    row
 }
 
 // ---------------------------------------------------------------------------
-// Dense backend: a view over a precomputed similarity matrix.
-// ---------------------------------------------------------------------------
-
-/// A [`Retriever`] view over a precomputed dense [`SimilarityMatrix`] —
-/// the bridge that lets `evaluate_ranking` and `mutual_nearest_neighbours`
-/// keep their historical (bit-exact) dense semantics while running through
-/// the shared retrieval engines.
-pub struct DenseRetriever<'a> {
-    sim: &'a SimilarityMatrix,
-    queries: Vec<usize>,
-    items: Vec<usize>,
-    /// When true, positions index the matrix transposed: query `q` is
-    /// column `queries[q]`, item `j` is row `items[j]`. Used for the
-    /// reverse direction of mutual-NN mining.
-    transposed: bool,
-}
-
-impl<'a> DenseRetriever<'a> {
-    /// Queries select rows of `sim`, items select columns.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds (matching the historical
-    /// `evaluate_ranking` contract for malformed pairs).
-    pub fn new(sim: &'a SimilarityMatrix, queries: Vec<usize>, items: Vec<usize>) -> Self {
-        let (n_s, n_t) = sim.shape();
-        for &q in &queries {
-            assert!(q < n_s, "DenseRetriever: query row {q} out of bounds for {n_s}x{n_t}");
-        }
-        for &j in &items {
-            assert!(j < n_t, "DenseRetriever: item column {j} out of bounds for {n_s}x{n_t}");
-        }
-        Self { sim, queries, items, transposed: false }
-    }
-
-    /// Transposed view: queries select **columns** of `sim`, items select
-    /// rows — the reverse direction of a forward similarity matrix.
-    pub fn transposed(sim: &'a SimilarityMatrix, queries: Vec<usize>, items: Vec<usize>) -> Self {
-        let (n_s, n_t) = sim.shape();
-        for &q in &queries {
-            assert!(q < n_t, "DenseRetriever: query column {q} out of bounds for {n_s}x{n_t}");
-        }
-        for &j in &items {
-            assert!(j < n_s, "DenseRetriever: item row {j} out of bounds for {n_s}x{n_t}");
-        }
-        Self { sim, queries, items, transposed: true }
-    }
-}
-
-impl Retriever for DenseRetriever<'_> {
-    fn num_queries(&self) -> usize {
-        self.queries.len()
-    }
-
-    fn num_items(&self) -> usize {
-        self.items.len()
-    }
-
-    #[inline]
-    fn score(&self, q: usize, item: usize) -> f32 {
-        let m = self.sim.scores();
-        if self.transposed {
-            m[(self.items[item], self.queries[q])]
-        } else {
-            m[(self.queries[q], self.items[item])]
-        }
-    }
-
-    fn rank_of(&self, q: usize, gold: usize) -> usize {
-        let gold_score = self.score(q, gold);
-        let n = self.items.len();
-        count_search(1, n as u64);
-        1 + (0..n).filter(|&j| self.score(q, j) > gold_score).count()
-    }
-
-    fn top_k(&self, q: usize, k: usize) -> Vec<(usize, f32)> {
-        let n = self.items.len();
-        count_search(1, n as u64);
-        let mut buf = TopK::new(k);
-        for j in 0..n {
-            buf.offer(j, self.score(q, j));
-        }
-        buf.into_sorted()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Exact backend: blocked scan over normalized embeddings.
-// ---------------------------------------------------------------------------
-
-/// Blocked exact cosine search: ℓ2-normalizes both sides once, then scans
-/// items in tiles of `block_len` rows, keeping only a bounded top-k buffer
-/// — O(dim) extra memory per query instead of an `n_q × n_items` matrix.
-///
-/// Bit-identical to [`cosine_similarity`](crate::cosine_similarity)
-/// followed by a dense scan: same `l2_normalize_rows(1e-9)`, same [`dot`],
-/// and a scan-order-independent selection rule.
-#[derive(Debug)]
-pub struct ExactRetriever {
-    queries: Matrix,
-    items: Matrix,
-    block_len: usize,
-}
-
-impl ExactRetriever {
-    /// Normalizes and validates both embedding sets.
-    ///
-    /// # Errors
-    /// [`DefectClass::DimensionMismatch`] when the embedding widths
-    /// disagree; [`DefectClass::NonFiniteFeature`] when any row contains
-    /// NaN/±∞.
-    pub fn new(queries: &Matrix, items: &Matrix) -> Result<Self, DesalignError> {
-        ensure_same_dim(queries, items, "ExactRetriever::new")?;
-        ensure_finite(queries, "retrieval.queries")?;
-        ensure_finite(items, "retrieval.items")?;
-        Ok(Self {
-            queries: queries.l2_normalize_rows(1e-9),
-            items: items.l2_normalize_rows(1e-9),
-            block_len: DEFAULT_BLOCK_LEN,
-        })
-    }
-
-    /// Overrides the tile size (testing hook; any positive value yields
-    /// identical results).
-    ///
-    /// # Panics
-    /// Panics if `block_len` is zero.
-    pub fn with_block_len(mut self, block_len: usize) -> Self {
-        assert!(block_len > 0, "ExactRetriever: block_len must be positive");
-        self.block_len = block_len;
-        self
-    }
-}
-
-impl Retriever for ExactRetriever {
-    fn num_queries(&self) -> usize {
-        self.queries.rows()
-    }
-
-    fn num_items(&self) -> usize {
-        self.items.rows()
-    }
-
-    #[inline]
-    fn score(&self, q: usize, item: usize) -> f32 {
-        dot(self.queries.row(q), self.items.row(item))
-    }
-
-    fn rank_of(&self, q: usize, gold: usize) -> usize {
-        let qrow = self.queries.row(q);
-        let gold_score = dot(qrow, self.items.row(gold));
-        let n = self.items.rows();
-        count_search(1, n as u64);
-        let mut above = 0usize;
-        let mut start = 0;
-        while start < n {
-            let end = (start + self.block_len).min(n);
-            for j in start..end {
-                if dot(qrow, self.items.row(j)) > gold_score {
-                    above += 1;
-                }
-            }
-            start = end;
-        }
-        1 + above
-    }
-
-    fn top_k(&self, q: usize, k: usize) -> Vec<(usize, f32)> {
-        exact_scan_top_k(self.queries.row(q), &self.items, self.block_len, k)
-    }
-}
-
-/// The blocked exact top-k scan, shared by [`ExactRetriever::top_k`] and
-/// [`ItemIndex::search`] so the two entry points are bit-identical by
-/// construction. `qrow` and `items` must already be ℓ2-normalized.
-fn exact_scan_top_k(qrow: &[f32], items: &Matrix, block_len: usize, k: usize) -> Vec<(usize, f32)> {
-    let n = items.rows();
-    count_search(1, n as u64);
-    let mut buf = TopK::new(k);
-    let mut start = 0;
-    while start < n {
-        let end = (start + block_len).min(n);
-        for j in start..end {
-            buf.offer(j, dot(qrow, items.row(j)));
-        }
-        start = end;
-    }
-    buf.into_sorted()
-}
-
-// ---------------------------------------------------------------------------
-// IVF backend: seeded spherical k-means + nprobe-bounded search.
+// IVF: seeded spherical k-means + nprobe-bounded search.
 // ---------------------------------------------------------------------------
 
 /// IVF build/search hyper-parameters.
@@ -375,37 +163,25 @@ impl Default for IvfParams {
     }
 }
 
-/// A built inverted-file index over one item set: normalized item rows,
-/// spherical k-means centroids, and per-cell posting lists (ascending item
-/// order, so scans are deterministic).
+/// The IVF backend's cells: spherical k-means centroids and per-cell
+/// posting lists (ascending item order, so scans are deterministic).
 #[derive(Debug)]
-pub struct IvfIndex {
-    items: Matrix,
+struct IvfCells {
     centroids: Matrix,
     lists: Vec<Vec<u32>>,
     nprobe: usize,
 }
 
-impl IvfIndex {
-    /// Builds the index: seeded shuffle picks `nlist` distinct item rows as
-    /// initial centroids, then `kmeans_iters` Lloyd rounds refine them
-    /// (assignment parallel per row, update serial in item order — both
-    /// bit-deterministic under `DESALIGN_THREADS`). Empty item sets build
-    /// an empty index whose searches return nothing.
-    ///
-    /// # Errors
-    /// [`DefectClass::Config`] when `nprobe == 0`;
-    /// [`DefectClass::NonFiniteFeature`] on NaN/±∞ rows.
-    pub fn build(items: &Matrix, params: &IvfParams) -> Result<Self, DesalignError> {
-        if params.nprobe == 0 {
-            return Err(DesalignError::config("retrieval.nprobe", "nprobe must be ≥ 1 (0 cells probed would return nothing)"));
-        }
-        ensure_finite(items, "retrieval.items")?;
-        let _span = desalign_telemetry::span("retrieval.build");
-        let items = items.l2_normalize_rows(1e-9);
+impl IvfCells {
+    /// Clusters the (already normalized) `items`: a seeded shuffle picks
+    /// `nlist` distinct rows as initial centroids, then `kmeans_iters`
+    /// Lloyd rounds refine them (assignment parallel per row, update serial
+    /// in item order — both bit-deterministic under `DESALIGN_THREADS`).
+    /// An empty item set builds no cells, so searches return nothing.
+    fn build(items: &Matrix, params: &IvfParams) -> Self {
         let (n, d) = items.shape();
         if n == 0 {
-            return Ok(Self { items, centroids: Matrix::zeros(0, d), lists: Vec::new(), nprobe: params.nprobe });
+            return Self { centroids: Matrix::zeros(0, d), lists: Vec::new(), nprobe: params.nprobe };
         }
         let nlist = if params.nlist == 0 { (n as f64).sqrt().ceil() as usize } else { params.nlist }.clamp(1, n);
 
@@ -420,7 +196,7 @@ impl IvfIndex {
         let mut assign = vec![0u32; n];
         let assign_cost = n.saturating_mul(nlist).saturating_mul(d.max(1));
         for _ in 0..params.kmeans_iters {
-            Self::assign_cells(&items, &centroids, assign_cost, &mut assign);
+            Self::assign_cells(items, &centroids, assign_cost, &mut assign);
             // Serial, item-order centroid update: mean of members, then
             // spherical renormalization. Empty cells keep their previous
             // centroid (they can re-acquire members next round).
@@ -453,12 +229,12 @@ impl IvfIndex {
         }
         // Final assignment against the refined centroids feeds the posting
         // lists; pushing in ascending item order keeps scans deterministic.
-        Self::assign_cells(&items, &centroids, assign_cost, &mut assign);
+        Self::assign_cells(items, &centroids, assign_cost, &mut assign);
         let mut lists = vec![Vec::new(); nlist];
         for (i, &c) in assign.iter().enumerate() {
             lists[c as usize].push(i as u32);
         }
-        Ok(Self { items, centroids, lists, nprobe: params.nprobe })
+        Self { centroids, lists, nprobe: params.nprobe }
     }
 
     /// Nearest-centroid assignment (max dot, ties to the lower centroid
@@ -479,16 +255,6 @@ impl IvfIndex {
         });
     }
 
-    /// Number of indexed items.
-    pub fn num_items(&self) -> usize {
-        self.items.rows()
-    }
-
-    /// Number of k-means cells.
-    pub fn num_cells(&self) -> usize {
-        self.lists.len()
-    }
-
     /// The cells to probe for a (normalized) query row: the `nprobe`
     /// highest-scoring centroids, ids ascending on ties.
     fn probe_order(&self, qrow: &[f32]) -> Vec<(usize, f32)> {
@@ -500,92 +266,14 @@ impl IvfIndex {
     }
 }
 
-/// Approximate [`Retriever`] over an [`IvfIndex`] and a fixed query set.
-#[derive(Debug)]
-pub struct IvfRetriever {
-    queries: Matrix,
-    index: IvfIndex,
-}
-
-impl IvfRetriever {
-    /// Binds normalized queries to a built index.
-    ///
-    /// # Errors
-    /// [`DefectClass::DimensionMismatch`] when query and index dims
-    /// disagree; [`DefectClass::NonFiniteFeature`] on NaN/±∞ query rows.
-    pub fn new(queries: &Matrix, index: IvfIndex) -> Result<Self, DesalignError> {
-        ensure_same_dim(queries, &index.items, "IvfRetriever::new")?;
-        ensure_finite(queries, "retrieval.queries")?;
-        Ok(Self { queries: queries.l2_normalize_rows(1e-9), index })
-    }
-
-    /// The underlying index.
-    pub fn index(&self) -> &IvfIndex {
-        &self.index
-    }
-}
-
-impl Retriever for IvfRetriever {
-    fn num_queries(&self) -> usize {
-        self.queries.rows()
-    }
-
-    fn num_items(&self) -> usize {
-        self.index.items.rows()
-    }
-
-    #[inline]
-    fn score(&self, q: usize, item: usize) -> f32 {
-        dot(self.queries.row(q), self.index.items.row(item))
-    }
-
-    fn rank_of(&self, q: usize, gold: usize) -> usize {
-        let qrow = self.queries.row(q);
-        let gold_score = dot(qrow, self.index.items.row(gold));
-        let probes = self.index.probe_order(qrow);
-        let mut above = 0usize;
-        let mut scanned = 0u64;
-        for &(cell, _) in &probes {
-            for &i in &self.index.lists[cell] {
-                scanned += 1;
-                if dot(qrow, self.index.items.row(i as usize)) > gold_score {
-                    above += 1;
-                }
-            }
-        }
-        count_search(probes.len() as u64, scanned);
-        1 + above
-    }
-
-    fn top_k(&self, q: usize, k: usize) -> Vec<(usize, f32)> {
-        ivf_scan_top_k(self.queries.row(q), &self.index, k)
-    }
-}
-
-/// The nprobe-bounded IVF top-k scan, shared by [`IvfRetriever::top_k`]
-/// and [`ItemIndex::search`]. `qrow` must already be ℓ2-normalized.
-fn ivf_scan_top_k(qrow: &[f32], index: &IvfIndex, k: usize) -> Vec<(usize, f32)> {
-    let probes = index.probe_order(qrow);
-    let mut buf = TopK::new(k);
-    let mut scanned = 0u64;
-    for &(cell, _) in &probes {
-        for &i in &index.lists[cell] {
-            scanned += 1;
-            buf.offer(i as usize, dot(qrow, index.items.row(i as usize)));
-        }
-    }
-    count_search(probes.len() as u64, scanned);
-    buf.into_sorted()
-}
-
 // ---------------------------------------------------------------------------
-// Backend selection.
+// The index.
 // ---------------------------------------------------------------------------
 
 /// Which index structure a [`RetrievalConfig`] builds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Blocked exact scan — bit-identical to the dense cosine path.
+    /// Exact scan — bit-identical to the dense cosine path.
     Exact,
     /// Approximate IVF index — sub-quadratic, recall-gated.
     Ivf,
@@ -606,127 +294,130 @@ impl Default for RetrievalConfig {
     }
 }
 
-/// Builds the configured backend over `queries` × `items`.
+/// A nearest-neighbour index over one fixed item set; queries arrive as raw
+/// rows. `desalign-serve` builds one over the precomputed entity embeddings
+/// at startup; evaluation, mining and candidate CSLS build one per call.
 ///
-/// # Errors
-/// Propagates the backend constructors' typed errors (dimension mismatch,
-/// non-finite rows, bad `nprobe`).
-pub fn build_retriever(queries: &Matrix, items: &Matrix, cfg: &RetrievalConfig) -> Result<Box<dyn Retriever>, DesalignError> {
-    match cfg.kind {
-        IndexKind::Exact => Ok(Box::new(ExactRetriever::new(queries, items)?)),
-        IndexKind::Ivf => {
-            let index = IvfIndex::build(items, &cfg.ivf)?;
-            Ok(Box::new(IvfRetriever::new(queries, index)?))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serving-side index: fixed items, queries arriving one (or a batch) at a
-// time.
-// ---------------------------------------------------------------------------
-
-/// A query-at-a-time nearest-neighbour index over one fixed item set —
-/// the serving-side counterpart of [`Retriever`], whose query set is bound
-/// at construction. `desalign-serve` builds one `ItemIndex` over the
-/// precomputed entity embeddings at startup and feeds it request rows as
-/// they arrive.
-///
-/// Searches go through the same scan helpers as [`ExactRetriever`] /
-/// [`IvfRetriever`] and the same per-row `1e-9`-eps normalization as
-/// `l2_normalize_rows`, so a query row produces **bit-identical** scores
-/// to binding it in a retriever up front — and, because every query is
-/// scored independently, identical bits whether it arrives alone, inside
-/// any batch composition, or at any `DESALIGN_THREADS` setting.
+/// Every query row gets the same `1e-9`-eps normalization as
+/// `l2_normalize_rows` and is scored independently, so its answer is
+/// **bit-identical** whether it arrives alone, inside any batch
+/// composition, or at any `DESALIGN_THREADS` setting.
 #[derive(Debug)]
 pub struct ItemIndex {
-    backend: ItemBackend,
-    dim: usize,
-}
-
-#[derive(Debug)]
-enum ItemBackend {
-    Exact { items: Matrix, block_len: usize },
-    Ivf(IvfIndex),
-}
-
-/// Per-row ℓ2 normalization matching `l2_normalize_rows(1e-9)` bit-for-bit
-/// (same in-order sum-of-squares, same `> eps` guard, same division).
-fn normalized_query(query: &[f32]) -> Vec<f32> {
-    let mut row = query.to_vec();
-    let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
-    if norm > 1e-9 {
-        for v in &mut row {
-            *v /= norm;
-        }
-    }
-    row
+    /// ℓ2-normalized item rows.
+    items: Matrix,
+    /// `Some` for [`IndexKind::Ivf`]: the cells a query probes.
+    cells: Option<IvfCells>,
 }
 
 impl ItemIndex {
-    /// Builds the configured backend over `items` only.
+    /// Builds the configured backend over `items`.
     ///
     /// # Errors
-    /// Propagates the backend constructors' typed errors (non-finite rows,
-    /// bad `nprobe`).
+    /// [`DefectClass::NonFiniteFeature`] on NaN/±∞ rows;
+    /// [`DefectClass::Config`] on an IVF `nprobe` of 0.
     pub fn build(items: &Matrix, cfg: &RetrievalConfig) -> Result<Self, DesalignError> {
-        let dim = items.cols();
-        let backend = match cfg.kind {
-            IndexKind::Exact => {
-                ensure_finite(items, "retrieval.items")?;
-                ItemBackend::Exact { items: items.l2_normalize_rows(1e-9), block_len: DEFAULT_BLOCK_LEN }
-            }
-            IndexKind::Ivf => ItemBackend::Ivf(IvfIndex::build(items, &cfg.ivf)?),
-        };
-        Ok(Self { backend, dim })
+        if cfg.kind == IndexKind::Ivf && cfg.ivf.nprobe == 0 {
+            return Err(DesalignError::config("retrieval.nprobe", "nprobe must be ≥ 1 (0 cells probed would return nothing)"));
+        }
+        ensure_finite(items, "retrieval.items")?;
+        let _span = (cfg.kind == IndexKind::Ivf).then(|| desalign_telemetry::span("retrieval.build"));
+        let items = items.l2_normalize_rows(1e-9);
+        let cells = (cfg.kind == IndexKind::Ivf).then(|| IvfCells::build(&items, &cfg.ivf));
+        Ok(Self { items, cells })
     }
 
     /// Number of indexed items.
     pub fn num_items(&self) -> usize {
-        match &self.backend {
-            ItemBackend::Exact { items, .. } => items.rows(),
-            ItemBackend::Ivf(index) => index.num_items(),
-        }
+        self.items.rows()
     }
 
     /// Embedding width every query must match.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.items.cols()
     }
 
     /// Which backend this index was built with.
     pub fn kind(&self) -> IndexKind {
-        match &self.backend {
-            ItemBackend::Exact { .. } => IndexKind::Exact,
-            ItemBackend::Ivf(_) => IndexKind::Ivf,
+        if self.cells.is_some() {
+            IndexKind::Ivf
+        } else {
+            IndexKind::Exact
         }
+    }
+
+    /// Number of IVF k-means cells; 0 for the exact backend.
+    pub fn num_cells(&self) -> usize {
+        self.cells.as_ref().map_or(0, |c| c.lists.len())
     }
 
     /// Validates one query row: width must match the index, values must be
     /// finite.
     fn check_query(&self, query: &[f32], location: &str) -> Result<(), DesalignError> {
-        if query.len() != self.dim {
+        if query.len() != self.dim() {
             return Err(DesalignError::new(
                 DefectClass::DimensionMismatch,
                 location,
-                format!("query dim {} != index dim {}", query.len(), self.dim),
+                format!("query dim {} != index dim {}", query.len(), self.dim()),
             ));
         }
         if query.iter().any(|v| !v.is_finite()) {
-            return Err(DesalignError::new(
-                DefectClass::NonFiniteFeature,
-                location,
-                "query row contains NaN or ±inf",
-            ));
+            return Err(DesalignError::new(DefectClass::NonFiniteFeature, location, "query row contains NaN or ±inf"));
         }
         Ok(())
     }
 
-    fn scan(&self, qrow: &[f32], k: usize) -> Vec<(usize, f32)> {
-        match &self.backend {
-            ItemBackend::Exact { items, block_len } => exact_scan_top_k(qrow, items, *block_len, k),
-            ItemBackend::Ivf(index) => ivf_scan_top_k(qrow, index, k),
+    /// [`check_query`](Self::check_query) for every row of a batch, before
+    /// any is scanned, so a poisoned row fails the whole call instead of
+    /// half-answering.
+    fn check_batch(&self, queries: &Matrix, location: &str) -> Result<(), DesalignError> {
+        if queries.cols() != self.dim() && queries.rows() > 0 {
+            return Err(DesalignError::new(
+                DefectClass::DimensionMismatch,
+                location,
+                format!("query dim {} != index dim {}", queries.cols(), self.dim()),
+            ));
         }
+        ensure_finite(queries, location)
+    }
+
+    /// Calls `visit(item)` for every item a search for the normalized
+    /// `qrow` examines — all of them (exact) or the posting lists of the
+    /// `nprobe` best cells (IVF) — and counts the search volume.
+    #[inline]
+    fn for_each_candidate(&self, qrow: &[f32], mut visit: impl FnMut(usize)) {
+        match &self.cells {
+            None => {
+                let n = self.items.rows();
+                count_search(1, n as u64);
+                (0..n).for_each(visit);
+            }
+            Some(cells) => {
+                let probes = cells.probe_order(qrow);
+                let mut scanned = 0u64;
+                for &(cell, _) in &probes {
+                    scanned += cells.lists[cell].len() as u64;
+                    cells.lists[cell].iter().for_each(|&i| visit(i as usize));
+                }
+                count_search(probes.len() as u64, scanned);
+            }
+        }
+    }
+
+    /// Top-k scan for an already normalized query row.
+    fn scan(&self, qrow: &[f32], k: usize) -> Vec<(usize, f32)> {
+        let mut buf = TopK::new(k);
+        self.for_each_candidate(qrow, |j| buf.offer(j, dot(qrow, self.items.row(j))));
+        buf.into_sorted()
+    }
+
+    /// Optimistic competition rank of `gold` for an already normalized
+    /// query row: `1 + |{examined items scoring strictly above gold}|`.
+    fn rank(&self, qrow: &[f32], gold: usize) -> usize {
+        let gold_score = dot(qrow, self.items.row(gold));
+        let mut above = 0usize;
+        self.for_each_candidate(qrow, |j| above += usize::from(dot(qrow, self.items.row(j)) > gold_score));
+        1 + above
     }
 
     /// The `k` best items for one raw (un-normalized) query row, sorted by
@@ -740,6 +431,26 @@ impl ItemIndex {
         Ok(self.scan(&normalized_query(query), k))
     }
 
+    /// Rank (1-based) of item `gold` for one raw query row:
+    /// `1 + |{j : score(j) > score(gold)}|`, ties ranking optimistically.
+    /// The exact backend counts over every item; IVF counts only the items
+    /// in the cells the query probes.
+    ///
+    /// # Errors
+    /// [`search`](Self::search)'s errors, plus
+    /// [`DefectClass::PairOutOfRange`] when `gold` is not an item.
+    pub fn rank_of(&self, query: &[f32], gold: usize) -> Result<usize, DesalignError> {
+        self.check_query(query, "ItemIndex::rank_of")?;
+        if gold >= self.num_items() {
+            return Err(DesalignError::new(
+                DefectClass::PairOutOfRange,
+                "ItemIndex::rank_of",
+                format!("gold item {gold} out of bounds for {} items", self.num_items()),
+            ));
+        }
+        Ok(self.rank(&normalized_query(query), gold))
+    }
+
     /// [`search`](Self::search) over every row of `queries`, parallel per
     /// row over `desalign-parallel`. Each row is normalized and scanned
     /// independently, so the result is bit-identical to calling `search`
@@ -749,270 +460,31 @@ impl ItemIndex {
     /// Validates every row **before** scanning any, so a poisoned row in a
     /// batch fails the whole call instead of half-answering.
     pub fn search_batch(&self, queries: &Matrix, k: usize) -> Result<Vec<Vec<(usize, f32)>>, DesalignError> {
-        if queries.cols() != self.dim && queries.rows() > 0 {
-            return Err(DesalignError::new(
-                DefectClass::DimensionMismatch,
-                "ItemIndex::search_batch",
-                format!("query dim {} != index dim {}", queries.cols(), self.dim),
-            ));
-        }
-        ensure_finite(queries, "ItemIndex::search_batch")?;
-        let nq = queries.rows();
-        let mut lists: Vec<Vec<(usize, f32)>> = vec![Vec::new(); nq];
-        let cost = nq.saturating_mul(self.num_items()).saturating_mul(self.dim.max(1));
-        desalign_parallel::par_rows(&mut lists, 1, cost, |q, slot| {
-            slot[0] = self.scan(&normalized_query(queries.row(q)), k);
-        });
+        self.check_batch(queries, "ItemIndex::search_batch")?;
+        let mut lists: Vec<Vec<(usize, f32)>> = vec![Vec::new(); queries.rows()];
+        self.par_queries(&mut lists, |q| self.scan(&normalized_query(queries.row(q)), k));
         Ok(lists)
     }
-}
 
-// ---------------------------------------------------------------------------
-// Shared engines: evaluation, batch top-k, mutual-NN, candidate CSLS.
-// ---------------------------------------------------------------------------
+    /// [`rank_of`](Self::rank_of) for query row `i` of `queries` against
+    /// gold item `i`, parallel per row — the evaluation protocol once the
+    /// pair rows are gathered.
+    ///
+    /// # Errors
+    /// As [`search_batch`](Self::search_batch). `queries` must have at most
+    /// [`num_items`](Self::num_items) rows.
+    pub(crate) fn rank_diagonal(&self, queries: &Matrix) -> Result<Vec<usize>, DesalignError> {
+        self.check_batch(queries, "ItemIndex::rank_diagonal")?;
+        let mut ranks = vec![0usize; queries.rows()];
+        self.par_queries(&mut ranks, |i| self.rank(&normalized_query(queries.row(i)), i));
+        Ok(ranks)
+    }
 
-/// Ranks gold pairs `(query position, gold item position)` through a
-/// retriever and aggregates H@1 / H@10 / MRR exactly like the historical
-/// dense `evaluate_ranking`: per-query ranks in parallel, the float MRR
-/// accumulation serial in pair order.
-pub fn evaluate_retriever(r: &dyn Retriever, gold: &[(usize, usize)]) -> AlignmentMetrics {
-    if gold.is_empty() {
-        return AlignmentMetrics::default();
+    /// Fills `out[q] = f(q)` for every query, in parallel.
+    fn par_queries<T: Send>(&self, out: &mut [T], f: impl Fn(usize) -> T + Sync) {
+        let cost = out.len().saturating_mul(self.num_items()).saturating_mul(self.dim().max(1));
+        desalign_parallel::par_rows(out, 1, cost, |q, slot| slot[0] = f(q));
     }
-    let _span = desalign_telemetry::span("evaluate_ranking");
-    let mut ranks = vec![0usize; gold.len()];
-    let cost = gold.len().saturating_mul(r.num_items());
-    desalign_parallel::par_rows(&mut ranks, 1, cost, |i, slot| {
-        let (q, g) = gold[i];
-        slot[0] = r.rank_of(q, g);
-    });
-    let mut h1 = 0usize;
-    let mut h10 = 0usize;
-    let mut mrr = 0.0f64;
-    for &rank in &ranks {
-        if rank <= 1 {
-            h1 += 1;
-        }
-        if rank <= 10 {
-            h10 += 1;
-        }
-        mrr += 1.0 / rank as f64;
-    }
-    let n = gold.len();
-    AlignmentMetrics {
-        hits_at_1: h1 as f32 / n as f32,
-        hits_at_10: h10 as f32 / n as f32,
-        mrr: (mrr / n as f64) as f32,
-        num_queries: n,
-    }
-}
-
-/// Checks alignment pairs against two embedding tables, returning a typed
-/// error (instead of the dense path's panic) on out-of-range entities.
-fn ensure_pairs_in_range(pairs: &[(usize, usize)], n_s: usize, n_t: usize, location: &str) -> Result<(), DesalignError> {
-    for (i, &(s, t)) in pairs.iter().enumerate() {
-        if s >= n_s || t >= n_t {
-            return Err(DesalignError::new(
-                DefectClass::PairOutOfRange,
-                format!("{location}[{i}]"),
-                format!("pair ({s},{t}) out of bounds for {n_s}x{n_t} entities"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Embedding-level evaluation under the paper's protocol (candidate pool =
-/// the test targets): gathers the pair rows, builds the configured
-/// backend, and ranks each query's gold among the test targets only.
-///
-/// With [`IndexKind::Exact`] this is bit-identical to
-/// `evaluate_ranking(&cosine_similarity(x_s, x_t), test_pairs)`.
-///
-/// # Errors
-/// [`DefectClass::PairOutOfRange`] on malformed pairs, plus the backend
-/// constructors' errors.
-pub fn evaluate_ranking_embeddings(
-    x_s: &Matrix,
-    x_t: &Matrix,
-    test_pairs: &[(usize, usize)],
-    cfg: &RetrievalConfig,
-) -> Result<AlignmentMetrics, DesalignError> {
-    if test_pairs.is_empty() {
-        return Ok(AlignmentMetrics::default());
-    }
-    ensure_pairs_in_range(test_pairs, x_s.rows(), x_t.rows(), "test_pairs")?;
-    let sources: Vec<usize> = test_pairs.iter().map(|&(s, _)| s).collect();
-    let targets: Vec<usize> = test_pairs.iter().map(|&(_, t)| t).collect();
-    let queries = x_s.gather_rows(&sources);
-    let items = x_t.gather_rows(&targets);
-    let r = build_retriever(&queries, &items, cfg)?;
-    let gold: Vec<(usize, usize)> = (0..test_pairs.len()).map(|i| (i, i)).collect();
-    Ok(evaluate_retriever(r.as_ref(), &gold))
-}
-
-/// Batch top-k: one sorted candidate list per query, queries in parallel
-/// (bit-identical at any thread count because each query's list depends
-/// only on its own row).
-pub fn batch_top_k(r: &dyn Retriever, k: usize) -> Vec<Vec<(usize, f32)>> {
-    let nq = r.num_queries();
-    let mut lists: Vec<Vec<(usize, f32)>> = vec![Vec::new(); nq];
-    let cost = nq.saturating_mul(r.num_items());
-    desalign_parallel::par_rows(&mut lists, 1, cost, |q, slot| {
-        slot[0] = r.top_k(q, k);
-    });
-    lists
-}
-
-/// Mutual nearest neighbours through a forward retriever (`source →
-/// target`) and a reverse retriever (`target → source`): keeps pairs
-/// `(q, t, score)` where `t` is `q`'s top-1 **and** `q` is `t`'s top-1 and
-/// `score ≥ min_score`, sorted by descending score (stable in query
-/// order). Positions index the retrievers' query/item sets.
-pub fn mutual_top1(forward: &dyn Retriever, reverse: &dyn Retriever, min_score: f32) -> Vec<(usize, usize, f32)> {
-    let nq = forward.num_queries();
-    let nt = forward.num_items();
-    debug_assert_eq!(nq, reverse.num_items(), "mutual_top1: asymmetric retrievers");
-    debug_assert_eq!(nt, reverse.num_queries(), "mutual_top1: asymmetric retrievers");
-    if nq == 0 || nt == 0 {
-        return Vec::new();
-    }
-    let mut best_t: Vec<(usize, f32)> = vec![(usize::MAX, f32::NEG_INFINITY); nq];
-    desalign_parallel::par_rows(&mut best_t, 1, nq.saturating_mul(nt), |q, slot| {
-        if let Some(&top) = forward.top_k(q, 1).first() {
-            slot[0] = top;
-        }
-    });
-    let mut best_s: Vec<usize> = vec![usize::MAX; nt];
-    desalign_parallel::par_rows(&mut best_s, 1, nq.saturating_mul(nt), |t, slot| {
-        if let Some(&(s, _)) = reverse.top_k(t, 1).first() {
-            slot[0] = s;
-        }
-    });
-    let mut pairs: Vec<(usize, usize, f32)> = best_t
-        .into_iter()
-        .enumerate()
-        .filter(|&(q, (t, score))| t != usize::MAX && score >= min_score && best_s[t] == q)
-        .map(|(q, (t, score))| (q, t, score))
-        .collect();
-    pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    pairs
-}
-
-/// Embedding-level mutual-NN mining over candidate entity sets: builds a
-/// forward and a reverse backend over the gathered candidate rows, then
-/// runs [`mutual_top1`] and maps positions back to entity ids.
-///
-/// With [`IndexKind::Exact`] this reproduces
-/// `mutual_nearest_neighbours(&cosine_similarity(x_s, x_t), …)`
-/// bit-for-bit (same normalization, same dot, same tie-breaks).
-///
-/// # Errors
-/// [`DefectClass::PairOutOfRange`] when a candidate id is out of range,
-/// plus the backend constructors' errors.
-pub fn mine_mutual_nn(
-    x_s: &Matrix,
-    x_t: &Matrix,
-    source_candidates: &[usize],
-    target_candidates: &[usize],
-    min_score: f32,
-    cfg: &RetrievalConfig,
-) -> Result<Vec<(usize, usize, f32)>, DesalignError> {
-    if source_candidates.is_empty() || target_candidates.is_empty() {
-        return Ok(Vec::new());
-    }
-    for (name, ids, bound) in [("source_candidates", source_candidates, x_s.rows()), ("target_candidates", target_candidates, x_t.rows())] {
-        if let Some(&bad) = ids.iter().find(|&&i| i >= bound) {
-            return Err(DesalignError::new(
-                DefectClass::PairOutOfRange,
-                format!("mine_mutual_nn.{name}"),
-                format!("candidate {bad} out of bounds for {bound} entities"),
-            ));
-        }
-    }
-    let qs = x_s.gather_rows(source_candidates);
-    let it = x_t.gather_rows(target_candidates);
-    let forward = build_retriever(&qs, &it, cfg)?;
-    let reverse = build_retriever(&it, &qs, cfg)?;
-    let pairs = mutual_top1(forward.as_ref(), reverse.as_ref(), min_score);
-    Ok(pairs
-        .into_iter()
-        .map(|(q, t, score)| (source_candidates[q], target_candidates[t], score))
-        .collect())
-}
-
-/// CSLS re-scoring on candidate lists only (no dense matrix):
-///
-/// `csls(i,j) = 2·sim(i,j) − r_s(i) − r_t(j)`
-///
-/// where `r_s(i)` is the mean of query `i`'s top-`k` forward scores and
-/// `r_t(j)` the mean of item `j`'s top-`k` reverse scores. `forward[i]`
-/// and `reverse[j]` must be sorted descending (as [`batch_top_k`]
-/// returns); lists shorter than `k` average what they have, empty lists
-/// contribute 0. Each query's candidates are re-scored and re-sorted under
-/// the deterministic (score desc, id asc) order.
-///
-/// On dense-equivalent inputs (exact full-length lists) the re-scored
-/// entries match `csls_rescale` bit-for-bit: the top-`k` mean sums the
-/// same values in the same (sorted) order, and the rescale expression is
-/// evaluated identically.
-pub fn csls_rescale_candidates(
-    forward: &[Vec<(usize, f32)>],
-    reverse: &[Vec<(usize, f32)>],
-    k: usize,
-) -> Vec<Vec<(usize, f32)>> {
-    let mean_topk = |list: &[(usize, f32)]| -> f32 {
-        let kk = k.min(list.len());
-        if kk == 0 {
-            return 0.0;
-        }
-        list[..kk].iter().map(|&(_, s)| s).sum::<f32>() / kk as f32
-    };
-    let r_t: Vec<f32> = reverse.iter().map(|l| mean_topk(l)).collect();
-    forward
-        .iter()
-        .map(|cands| {
-            let ri = mean_topk(cands);
-            let mut out: Vec<(usize, f32)> = cands.iter().map(|&(j, s)| (j, 2.0 * s - ri - r_t[j])).collect();
-            out.sort_by(|&a, &b| if beats(a, b) { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater });
-            out
-        })
-        .collect()
-}
-
-/// End-to-end candidate-set CSLS: retrieves `max(k, topk)` forward
-/// candidates per query and `k` reverse candidates per item through the
-/// configured backend, applies [`csls_rescale_candidates`], and truncates
-/// each re-sorted list to `topk`.
-///
-/// # Errors
-/// [`DefectClass::Config`] when `k == 0` or `k > n_items` (the neighbour
-/// mean would silently clamp), plus the backend constructors' errors.
-pub fn csls_retrieve_top_k(
-    x_s: &Matrix,
-    x_t: &Matrix,
-    k: usize,
-    topk: usize,
-    cfg: &RetrievalConfig,
-) -> Result<Vec<Vec<(usize, f32)>>, DesalignError> {
-    if k == 0 {
-        return Err(DesalignError::config("retrieval.csls_k", "CSLS neighbourhood k must be ≥ 1"));
-    }
-    if k > x_t.rows() || k > x_s.rows() {
-        return Err(DesalignError::config(
-            "retrieval.csls_k",
-            format!("CSLS neighbourhood k = {k} exceeds the candidate pool ({} × {}); the mean would silently clamp", x_s.rows(), x_t.rows()),
-        ));
-    }
-    let forward_r = build_retriever(x_s, x_t, cfg)?;
-    let reverse_r = build_retriever(x_t, x_s, cfg)?;
-    let forward = batch_top_k(forward_r.as_ref(), k.max(topk));
-    let reverse = batch_top_k(reverse_r.as_ref(), k);
-    let mut rescored = csls_rescale_candidates(&forward, &reverse, k);
-    for list in &mut rescored {
-        list.truncate(topk);
-    }
-    Ok(rescored)
 }
 
 #[cfg(test)]
@@ -1026,6 +498,10 @@ mod tests {
         let q = normal_matrix(&mut rng, nq, d, 0.0, 1.0);
         let t = normal_matrix(&mut rng, n, d, 0.0, 1.0);
         (q, t)
+    }
+
+    fn ivf(nlist: usize, nprobe: usize) -> RetrievalConfig {
+        RetrievalConfig { kind: IndexKind::Ivf, ivf: IvfParams { nlist, nprobe, kmeans_iters: 3, seed: 9 } }
     }
 
     #[test]
@@ -1042,100 +518,99 @@ mod tests {
         let (f, r) = (fwd.into_sorted(), rev.into_sorted());
         assert_eq!(f, r);
         assert_eq!(f, vec![(1, 0.9), (2, 0.9), (4, 0.5)]); // tie 1 vs 2 → lower id first
+        assert_eq!(top1(scores.iter().copied().enumerate()), Some((1, 0.9)));
+        assert_eq!(top1(std::iter::empty()), None);
     }
 
     #[test]
     fn exact_matches_dense_scores_bitwise() {
         let (q, t) = rand_pair(3, 7, 11, 5);
         let sim = cosine_similarity(&q, &t);
-        let exact = ExactRetriever::new(&q, &t).unwrap().with_block_len(4);
+        let idx = ItemIndex::build(&t, &RetrievalConfig::default()).unwrap();
         for i in 0..7 {
-            for j in 0..11 {
-                assert_eq!(exact.score(i, j).to_bits(), sim.scores()[(i, j)].to_bits(), "({i},{j})");
+            let got = idx.search(q.row(i), 11).unwrap();
+            assert_eq!(got.len(), 11);
+            for (j, s) in got {
+                assert_eq!(s.to_bits(), sim.scores()[(i, j)].to_bits(), "({i},{j})");
             }
         }
     }
 
     #[test]
-    fn evaluate_embeddings_exact_equals_dense_path() {
-        let (q, t) = rand_pair(11, 20, 20, 8);
-        let pairs: Vec<(usize, usize)> = (0..20).map(|i| (i, (i * 3) % 20)).collect();
-        let dense = crate::evaluate_ranking(&cosine_similarity(&q, &t), &pairs);
-        let exact = evaluate_ranking_embeddings(&q, &t, &pairs, &RetrievalConfig::default()).unwrap();
-        assert_eq!(dense.hits_at_1.to_bits(), exact.hits_at_1.to_bits());
-        assert_eq!(dense.hits_at_10.to_bits(), exact.hits_at_10.to_bits());
-        assert_eq!(dense.mrr.to_bits(), exact.mrr.to_bits());
+    fn rank_of_matches_dense_rank() {
+        let (q, t) = rand_pair(4, 5, 13, 6);
+        let sim = cosine_similarity(&q, &t);
+        let idx = ItemIndex::build(&t, &RetrievalConfig::default()).unwrap();
+        for i in 0..5 {
+            for j in 0..13 {
+                assert_eq!(idx.rank_of(q.row(i), j).unwrap(), sim.rank_of(i, j), "({i},{j})");
+            }
+        }
+        let err = idx.rank_of(q.row(0), 13).unwrap_err();
+        assert_eq!(err.class, DefectClass::PairOutOfRange);
     }
 
     #[test]
     fn ivf_probing_everything_is_exact() {
         let (q, t) = rand_pair(5, 6, 40, 4);
-        let cfg = RetrievalConfig {
-            kind: IndexKind::Ivf,
-            ivf: IvfParams { nlist: 5, nprobe: 5, kmeans_iters: 3, seed: 9 },
-        };
-        let ivf = build_retriever(&q, &t, &cfg).unwrap();
-        let exact = ExactRetriever::new(&q, &t).unwrap();
+        let ivf = ItemIndex::build(&t, &ivf(5, 5)).unwrap();
+        let exact = ItemIndex::build(&t, &RetrievalConfig::default()).unwrap();
+        assert_eq!((ivf.kind(), ivf.num_cells()), (IndexKind::Ivf, 5));
+        assert_eq!((exact.kind(), exact.num_cells()), (IndexKind::Exact, 0));
         for i in 0..6 {
-            assert_eq!(ivf.top_k(i, 3), exact.top_k(i, 3), "query {i}");
+            assert_eq!(ivf.search(q.row(i), 3).unwrap(), exact.search(q.row(i), 3).unwrap(), "query {i}");
+            assert_eq!(ivf.rank_of(q.row(i), i).unwrap(), exact.rank_of(q.row(i), i).unwrap(), "query {i}");
+        }
+    }
+
+    #[test]
+    fn ivf_rank_counts_only_probed_cells() {
+        let (q, t) = rand_pair(6, 4, 60, 4);
+        let one_cell = ItemIndex::build(&t, &ivf(6, 1)).unwrap();
+        let exact = ItemIndex::build(&t, &RetrievalConfig::default()).unwrap();
+        for i in 0..4 {
+            for gold in [0, 17, 59] {
+                assert!(one_cell.rank_of(q.row(i), gold).unwrap() <= exact.rank_of(q.row(i), gold).unwrap());
+            }
         }
     }
 
     #[test]
     fn empty_and_overlong_k_are_benign() {
         let (q, t) = rand_pair(7, 2, 3, 4);
-        let exact = ExactRetriever::new(&q, &t).unwrap();
-        assert_eq!(exact.top_k(0, 0), vec![]);
-        assert_eq!(exact.top_k(0, 99).len(), 3);
-        let empty = IvfIndex::build(&Matrix::zeros(0, 4), &IvfParams::default()).unwrap();
-        let r = IvfRetriever::new(&q, empty).unwrap();
-        assert_eq!(r.top_k(0, 5), vec![]);
+        let exact = ItemIndex::build(&t, &RetrievalConfig::default()).unwrap();
+        assert_eq!(exact.search(q.row(0), 0).unwrap(), vec![]);
+        assert_eq!(exact.search(q.row(0), 99).unwrap().len(), 3);
+        let empty = ItemIndex::build(&Matrix::zeros(0, 4), &ivf(0, 16)).unwrap();
+        assert_eq!(empty.search(q.row(0), 5).unwrap(), vec![]);
     }
 
     #[test]
     fn nan_rows_surface_typed_errors() {
         let mut bad = Matrix::zeros(3, 2);
         bad[(1, 0)] = f32::NAN;
-        let good = Matrix::zeros(2, 2);
-        let err = ExactRetriever::new(&bad, &good).unwrap_err();
-        assert_eq!(err.class, DefectClass::NonFiniteFeature);
-        let err = IvfIndex::build(&bad, &IvfParams::default()).unwrap_err();
-        assert_eq!(err.class, DefectClass::NonFiniteFeature);
-    }
-
-    #[test]
-    fn item_index_matches_bound_retrievers_bitwise() {
-        let (q, t) = rand_pair(17, 6, 30, 5);
-        // Exact: same bits as an ExactRetriever with the queries bound up
-        // front.
-        let exact_cfg = RetrievalConfig::default();
-        let idx = ItemIndex::build(&t, &exact_cfg).unwrap();
-        let bound = ExactRetriever::new(&q, &t).unwrap();
-        for i in 0..q.rows() {
-            assert_eq!(idx.search(q.row(i), 4).unwrap(), bound.top_k(i, 4), "exact query {i}");
+        for cfg in [RetrievalConfig::default(), ivf(0, 16)] {
+            let err = ItemIndex::build(&bad, &cfg).unwrap_err();
+            assert_eq!(err.class, DefectClass::NonFiniteFeature);
         }
-        // IVF: same bits as an IvfRetriever over the same built index
-        // parameters.
-        let ivf_cfg = RetrievalConfig {
-            kind: IndexKind::Ivf,
-            ivf: IvfParams { nlist: 4, nprobe: 2, kmeans_iters: 3, seed: 21 },
-        };
-        let idx = ItemIndex::build(&t, &ivf_cfg).unwrap();
-        assert_eq!(idx.kind(), IndexKind::Ivf);
-        let bound = build_retriever(&q, &t, &ivf_cfg).unwrap();
-        for i in 0..q.rows() {
-            assert_eq!(idx.search(q.row(i), 4).unwrap(), bound.top_k(i, 4), "ivf query {i}");
-        }
+        let err = ItemIndex::build(&Matrix::zeros(3, 2), &ivf(0, 0)).unwrap_err();
+        assert_eq!(err.class, DefectClass::Config);
     }
 
     #[test]
     fn item_index_batch_matches_single_search() {
         let (q, t) = rand_pair(19, 9, 25, 6);
-        let idx = ItemIndex::build(&t, &RetrievalConfig::default()).unwrap();
-        let batch = idx.search_batch(&q, 3).unwrap();
-        assert_eq!(batch.len(), q.rows());
-        for i in 0..q.rows() {
-            assert_eq!(batch[i], idx.search(q.row(i), 3).unwrap(), "query {i}");
+        for cfg in [RetrievalConfig::default(), ivf(4, 2)] {
+            let idx = ItemIndex::build(&t, &cfg).unwrap();
+            let batch = idx.search_batch(&q, 3).unwrap();
+            assert_eq!(batch.len(), q.rows());
+            for i in 0..q.rows() {
+                assert_eq!(batch[i], idx.search(q.row(i), 3).unwrap(), "query {i}");
+            }
+            let ranks = idx.rank_diagonal(&q).unwrap();
+            for (i, &r) in ranks.iter().enumerate() {
+                assert_eq!(r, idx.rank_of(q.row(i), i).unwrap(), "query {i}");
+            }
         }
     }
 
@@ -1151,17 +626,8 @@ mod tests {
         assert_eq!(err.class, DefectClass::NonFiniteFeature);
         let bad = Matrix::from_rows(&[&[1.0, f32::INFINITY, 0.0, 0.0]]);
         assert!(idx.search_batch(&bad, 3).is_err());
+        assert!(idx.rank_diagonal(&bad).is_err());
         // A zero query is benign (normalization leaves it untouched).
         assert_eq!(idx.search(&[0.0; 4], 2).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn csls_retrieve_rejects_degenerate_k() {
-        let (q, t) = rand_pair(13, 4, 4, 3);
-        let err = csls_retrieve_top_k(&q, &t, 0, 2, &RetrievalConfig::default()).unwrap_err();
-        assert_eq!(err.class, DefectClass::Config);
-        let err = csls_retrieve_top_k(&q, &t, 10, 2, &RetrievalConfig::default()).unwrap_err();
-        assert_eq!(err.class, DefectClass::Config);
-        assert!(csls_retrieve_top_k(&q, &t, 2, 2, &RetrievalConfig::default()).is_ok());
     }
 }

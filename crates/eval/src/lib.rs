@@ -6,26 +6,26 @@
 //! test alignments, plus CSLS re-scoring and the mutual-nearest-neighbour
 //! mining used by the iterative training strategy.
 //!
-//! The [`index`] module provides the sub-quadratic retrieval layer: a
-//! [`Retriever`] trait over a blocked exact scanner ([`ExactRetriever`],
-//! bit-identical to the dense cosine path) and a deterministic IVF
-//! approximate index ([`IvfRetriever`]), plus embedding-level engines for
-//! evaluation, mutual-NN mining, and candidate-set CSLS that never
-//! materialize the full `n_s × n_t` similarity matrix.
+//! Each of the three comes in two forms. The embedding-level form
+//! ([`evaluate_ranking_embeddings`], [`mine_mutual_nn`],
+//! [`csls_retrieve_top_k`]) searches through [`ItemIndex`], the one
+//! retrieval index: an exact scan bit-identical to the dense cosine path,
+//! or a deterministic IVF approximate index. Neither materializes the
+//! `n_s × n_t` similarity matrix. The dense form ([`evaluate_ranking`],
+//! [`mutual_nearest_neighbours`], [`csls_rescale`]) works on a
+//! [`SimilarityMatrix`], for scores that are not cosines of embeddings
+//! (the baselines' distances and products) and as the reference the
+//! index path is tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod index;
+mod index;
 mod metrics;
 mod mining;
 mod similarity;
 
-pub use index::{
-    batch_top_k, build_retriever, csls_rescale_candidates, csls_retrieve_top_k, evaluate_ranking_embeddings,
-    evaluate_retriever, mine_mutual_nn, mutual_top1, DenseRetriever, ExactRetriever, IndexKind, ItemIndex, IvfIndex,
-    IvfParams, IvfRetriever, RetrievalConfig, Retriever, DEFAULT_BLOCK_LEN,
-};
-pub use metrics::{evaluate_ranking, AlignmentMetrics};
-pub use mining::mutual_nearest_neighbours;
-pub use similarity::{cosine_similarity, csls_rescale, try_csls_rescale, SimilarityMatrix};
+pub use index::{IndexKind, ItemIndex, IvfParams, RetrievalConfig};
+pub use metrics::{evaluate_ranking, evaluate_ranking_embeddings, AlignmentMetrics};
+pub use mining::{mine_mutual_nn, mutual_nearest_neighbours};
+pub use similarity::{cosine_similarity, csls_rescale, csls_rescale_candidates, csls_retrieve_top_k, SimilarityMatrix};

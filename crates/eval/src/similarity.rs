@@ -1,6 +1,10 @@
-//! Similarity matrices between two embedding sets.
+//! Similarity matrices between two embedding sets, and CSLS re-scoring
+//! over a dense matrix or over [`ItemIndex`] candidate lists.
 
+use crate::index::beats;
+use crate::{ItemIndex, RetrievalConfig};
 use desalign_tensor::Matrix;
+use desalign_util::DesalignError;
 
 /// A dense `n_source × n_target` pairwise-similarity matrix `Ω`
 /// (Algorithm 1's output).
@@ -49,11 +53,11 @@ impl SimilarityMatrix {
 
     /// Rank (1-based) of `target` among source row `i`'s candidates, i.e.
     /// `1 + |{j : score(i,j) > score(i,target)}|`. Ties rank optimistically
-    /// (standard competition ranking on strictly-greater scores).
+    /// (standard competition ranking on strictly-greater scores); a NaN
+    /// score ranks as −∞ and a NaN `target` score ranks last.
     pub fn rank_of(&self, i: usize, target: usize) -> usize {
         let row = self.scores.row(i);
-        let s = row[target];
-        1 + row.iter().filter(|&&v| v > s).count()
+        crate::metrics::competition_rank(row[target], row.iter().copied())
     }
 
     /// Argmax target for source row `i`.
@@ -84,10 +88,9 @@ pub fn cosine_similarity(source: &Matrix, target: &Matrix) -> SimilarityMatrix {
 /// where `r_s(i)` is the mean similarity of `i` to its `k` nearest targets
 /// and `r_t(j)` symmetric.
 ///
-/// Degenerate `k` is **silently clamped** here (`0 → 1`, `k > n` → `n`) for
-/// backward compatibility; use [`try_csls_rescale`] to reject such `k` with
-/// a typed error instead, and `DesalignConfig::validate` to catch it at
-/// configuration time.
+/// Degenerate `k` is **silently clamped** here (`0 → 1`, `k > n` → `n`);
+/// [`csls_retrieve_top_k`] rejects such `k` with a typed error, and
+/// `DesalignConfig::validate` catches it at configuration time.
 pub fn csls_rescale(sim: &SimilarityMatrix, k: usize) -> SimilarityMatrix {
     let m = sim.scores();
     let (n_s, n_t) = m.shape();
@@ -121,25 +124,78 @@ pub fn csls_rescale(sim: &SimilarityMatrix, k: usize) -> SimilarityMatrix {
     SimilarityMatrix::new(out)
 }
 
-/// Validating [`csls_rescale`]: rejects neighbourhood sizes the clamping
-/// variant would silently shrink.
+/// CSLS re-scoring on candidate lists only (no dense matrix):
+///
+/// `csls(i,j) = 2·sim(i,j) − r_s(i) − r_t(j)`
+///
+/// where `r_s(i)` is the mean of query `i`'s top-`k` forward scores and
+/// `r_t(j)` the mean of item `j`'s top-`k` reverse scores. `forward[i]`
+/// and `reverse[j]` must be sorted descending (as
+/// [`ItemIndex::search_batch`] returns); lists shorter than `k` average
+/// what they have, empty lists contribute 0. Each query's candidates are
+/// re-scored and re-sorted under the deterministic (score desc, id asc)
+/// order.
+///
+/// On dense-equivalent inputs (exact full-length lists) the re-scored
+/// entries match `csls_rescale` bit-for-bit: the top-`k` mean sums the
+/// same values in the same (sorted) order, and the rescale expression is
+/// evaluated identically.
+pub fn csls_rescale_candidates(
+    forward: &[Vec<(usize, f32)>],
+    reverse: &[Vec<(usize, f32)>],
+    k: usize,
+) -> Vec<Vec<(usize, f32)>> {
+    let mean_topk = |list: &[(usize, f32)]| -> f32 {
+        let kk = k.min(list.len());
+        if kk == 0 {
+            return 0.0;
+        }
+        list[..kk].iter().map(|&(_, s)| s).sum::<f32>() / kk as f32
+    };
+    let r_t: Vec<f32> = reverse.iter().map(|l| mean_topk(l)).collect();
+    forward
+        .iter()
+        .map(|cands| {
+            let ri = mean_topk(cands);
+            let mut out: Vec<(usize, f32)> = cands.iter().map(|&(j, s)| (j, 2.0 * s - ri - r_t[j])).collect();
+            out.sort_by(|&a, &b| if beats(a, b) { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater });
+            out
+        })
+        .collect()
+}
+
+/// End-to-end candidate-set CSLS: retrieves `max(k, topk)` forward
+/// candidates per query and `k` reverse candidates per item through an
+/// [`ItemIndex`] on each side, applies [`csls_rescale_candidates`], and
+/// truncates each re-sorted list to `topk`.
 ///
 /// # Errors
 /// [`DefectClass::Config`](desalign_util::DefectClass::Config) when
-/// `k == 0` or `k` exceeds either side of the matrix (`r_s` means over
-/// `n_t` targets, `r_t` over `n_s` sources).
-pub fn try_csls_rescale(sim: &SimilarityMatrix, k: usize) -> Result<SimilarityMatrix, desalign_util::DesalignError> {
-    let (n_s, n_t) = sim.shape();
+/// `k == 0` or `k > n_items` (the neighbour mean would silently clamp),
+/// plus the index's build and query errors.
+pub fn csls_retrieve_top_k(
+    x_s: &Matrix,
+    x_t: &Matrix,
+    k: usize,
+    topk: usize,
+    cfg: &RetrievalConfig,
+) -> Result<Vec<Vec<(usize, f32)>>, DesalignError> {
     if k == 0 {
-        return Err(desalign_util::DesalignError::config("csls.k", "CSLS neighbourhood k must be ≥ 1"));
+        return Err(DesalignError::config("retrieval.csls_k", "CSLS neighbourhood k must be ≥ 1"));
     }
-    if k > n_s || k > n_t {
-        return Err(desalign_util::DesalignError::config(
-            "csls.k",
-            format!("CSLS neighbourhood k = {k} exceeds the {n_s}×{n_t} similarity matrix; the top-k mean would silently clamp"),
+    if k > x_t.rows() || k > x_s.rows() {
+        return Err(DesalignError::config(
+            "retrieval.csls_k",
+            format!("CSLS neighbourhood k = {k} exceeds the candidate pool ({} × {}); the mean would silently clamp", x_s.rows(), x_t.rows()),
         ));
     }
-    Ok(csls_rescale(sim, k))
+    let forward = ItemIndex::build(x_t, cfg)?.search_batch(x_s, k.max(topk))?;
+    let reverse = ItemIndex::build(x_s, cfg)?.search_batch(x_t, k)?;
+    let mut rescored = csls_rescale_candidates(&forward, &reverse, k);
+    for list in &mut rescored {
+        list.truncate(topk);
+    }
+    Ok(rescored)
 }
 
 #[cfg(test)]
@@ -196,5 +252,18 @@ mod tests {
         let before = sim.scores()[(0, 0)] - sim.scores()[(0, 1)];
         let after = csls.scores()[(0, 0)] - csls.scores()[(0, 1)];
         assert!(after < before, "CSLS did not demote the hub: {after} >= {before}");
+    }
+
+    #[test]
+    fn csls_retrieve_rejects_degenerate_k() {
+        let mut rng = desalign_tensor::rng_from_seed(13);
+        let q = desalign_tensor::normal_matrix(&mut rng, 4, 3, 0.0, 1.0);
+        let t = desalign_tensor::normal_matrix(&mut rng, 4, 3, 0.0, 1.0);
+        let cfg = RetrievalConfig::default();
+        let err = csls_retrieve_top_k(&q, &t, 0, 2, &cfg).unwrap_err();
+        assert_eq!(err.class, desalign_util::DefectClass::Config);
+        let err = csls_retrieve_top_k(&q, &t, 10, 2, &cfg).unwrap_err();
+        assert_eq!(err.class, desalign_util::DefectClass::Config);
+        assert!(csls_retrieve_top_k(&q, &t, 2, 2, &cfg).is_ok());
     }
 }

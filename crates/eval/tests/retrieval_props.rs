@@ -1,9 +1,10 @@
-//! Property tests for the retrieval subsystem (`desalign_eval::index`).
+//! Property tests for the retrieval index (`desalign_eval::ItemIndex`).
 //!
-//! The contracts pinned here are the ones ci.sh relies on:
+//! The contracts pinned here are the ones the rest of the workspace relies
+//! on:
 //!
-//! - the blocked exact scan is **bit-identical** to the dense cosine path
-//!   for any block length and any thread count;
+//! - the exact scan is **bit-identical** to the dense cosine path (ids and
+//!   score bits) at any thread count;
 //! - IVF recall against the exact top-k is **monotone in `nprobe`** (probing
 //!   more cells can only add candidates, and a true top-k element can only
 //!   be displaced by globally better elements — of which there are < k);
@@ -14,9 +15,9 @@
 //!   historical dense `mutual_nearest_neighbours`.
 
 use desalign_eval::{
-    batch_top_k, csls_rescale, csls_rescale_candidates, cosine_similarity, evaluate_ranking,
-    evaluate_ranking_embeddings, mine_mutual_nn, mutual_nearest_neighbours, DenseRetriever,
-    ExactRetriever, IndexKind, IvfIndex, IvfParams, IvfRetriever, RetrievalConfig, Retriever,
+    csls_rescale, csls_rescale_candidates, cosine_similarity, evaluate_ranking, evaluate_ranking_embeddings,
+    mine_mutual_nn, mutual_nearest_neighbours, IndexKind, ItemIndex, IvfParams, RetrievalConfig,
+    SimilarityMatrix,
 };
 use desalign_parallel::with_threads;
 use desalign_testkit::{self as testkit, ensure, ensure_eq, gen};
@@ -26,6 +27,33 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 fn bits(lists: &[Vec<(usize, f32)>]) -> Vec<Vec<(usize, u32)>> {
     lists.iter().map(|l| l.iter().map(|&(i, s)| (i, s.to_bits())).collect()).collect()
+}
+
+fn exact() -> RetrievalConfig {
+    RetrievalConfig { kind: IndexKind::Exact, ..RetrievalConfig::default() }
+}
+
+fn ivf(nprobe: usize) -> RetrievalConfig {
+    RetrievalConfig { kind: IndexKind::Ivf, ivf: IvfParams { nprobe, ..IvfParams::default() } }
+}
+
+/// Top-`k` of every row of a dense (finite) score matrix, ordered by score
+/// descending then id ascending — the reference the index must reproduce.
+fn dense_top_k(sim: &SimilarityMatrix, k: usize) -> Vec<Vec<(usize, f32)>> {
+    let (n_s, _) = sim.shape();
+    (0..n_s)
+        .map(|i| {
+            let mut row: Vec<(usize, f32)> = sim.scores().row(i).iter().copied().enumerate().collect();
+            row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            row.truncate(k);
+            row
+        })
+        .collect()
+}
+
+fn top_k(items: &Matrix, queries: &Matrix, k: usize, cfg: &RetrievalConfig) -> Result<Vec<Vec<(usize, f32)>>, String> {
+    let index = ItemIndex::build(items, cfg).map_err(|e| e.to_string())?;
+    index.search_batch(queries, k).map_err(|e| e.to_string())
 }
 
 /// Clustered embeddings: rows near `centers` shared cluster anchors, which
@@ -53,9 +81,9 @@ fn clustered(rng: &mut testkit::Rng64, nq: usize, n: usize, d: usize, centers: u
 }
 
 #[test]
-fn blocked_exact_matches_dense_for_any_block_len_and_thread_count() {
+fn exact_matches_dense_at_any_thread_count() {
     testkit::check(
-        "blocked_exact_matches_dense",
+        "exact_matches_dense",
         12,
         |rng| {
             let nq = rng.gen_range(1..12usize);
@@ -65,20 +93,10 @@ fn blocked_exact_matches_dense_for_any_block_len_and_thread_count() {
             (gen::matrix(rng, nq, d, -1.0, 1.0), gen::matrix(rng, n, d, -1.0, 1.0), k)
         },
         |(q, t, k)| {
-            let sim = cosine_similarity(q, t);
-            let dense = DenseRetriever::new(&sim, (0..q.rows()).collect(), (0..t.rows()).collect());
-            let reference = bits(&batch_top_k(&dense, *k));
-            for block_len in [1usize, 3, 64, 1000] {
-                for threads in THREADS {
-                    let exact = ExactRetriever::new(q, t)
-                        .map_err(|e| format!("ExactRetriever::new failed: {e}"))?
-                        .with_block_len(block_len);
-                    let got = with_threads(threads, || bits(&batch_top_k(&exact, *k)));
-                    ensure!(
-                        got == reference,
-                        "block_len {block_len} × {threads} threads diverged from dense top-{k}"
-                    );
-                }
+            let reference = bits(&dense_top_k(&cosine_similarity(q, t), *k));
+            for threads in THREADS {
+                let got = with_threads(threads, || top_k(t, q, *k, &exact()))?;
+                ensure!(bits(&got) == reference, "{threads} threads diverged from dense top-{k}");
             }
             Ok(())
         },
@@ -97,21 +115,18 @@ fn ivf_recall_is_monotone_in_nprobe() {
         },
         |(q, t)| {
             let k = 10usize;
-            let exact = ExactRetriever::new(q, t).map_err(|e| e.to_string())?;
-            let truth: Vec<std::collections::HashSet<usize>> = batch_top_k(&exact, k)
+            let truth: Vec<std::collections::HashSet<usize>> = top_k(t, q, k, &exact())?
                 .iter()
                 .map(|l| l.iter().map(|&(i, _)| i).collect())
                 .collect();
             let mut prev = -1.0f64;
             for nprobe in [1usize, 2, 4, 8, 64] {
-                let params = IvfParams { nprobe, ..IvfParams::default() };
-                let index = IvfIndex::build(t, &params).map_err(|e| e.to_string())?;
-                let r = IvfRetriever::new(q, index).map_err(|e| e.to_string())?;
+                let lists = top_k(t, q, k, &ivf(nprobe))?;
                 let mut hit = 0usize;
                 let mut total = 0usize;
-                for (qi, gold) in truth.iter().enumerate() {
+                for (gold, list) in truth.iter().zip(&lists) {
                     total += gold.len();
-                    hit += r.top_k(qi, k).iter().filter(|&&(i, _)| gold.contains(&i)).count();
+                    hit += list.iter().filter(|&&(i, _)| gold.contains(&i)).count();
                 }
                 let recall = hit as f64 / total.max(1) as f64;
                 ensure!(
@@ -138,15 +153,13 @@ fn ivf_build_and_search_are_bit_identical_across_thread_counts() {
             (q, t)
         },
         |(q, t)| {
-            let params = IvfParams { nprobe: 3, ..IvfParams::default() };
             let runs: Vec<_> = THREADS
                 .iter()
                 .map(|&threads| {
                     with_threads(threads, || {
-                        let index = IvfIndex::build(t, &params).map_err(|e| e.to_string())?;
-                        let cells = index.num_cells();
-                        let r = IvfRetriever::new(q, index).map_err(|e| e.to_string())?;
-                        Ok::<_, String>((cells, bits(&batch_top_k(&r, 5))))
+                        let index = ItemIndex::build(t, &ivf(3)).map_err(|e| e.to_string())?;
+                        let lists = index.search_batch(q, 5).map_err(|e| e.to_string())?;
+                        Ok::<_, String>((index.num_cells(), bits(&lists)))
                     })
                 })
                 .collect::<Result<_, _>>()?;
@@ -173,11 +186,9 @@ fn candidate_csls_matches_dense_csls_bitwise() {
         |(q, t, k)| {
             let sim = cosine_similarity(q, t);
             let rescaled = csls_rescale(&sim, *k);
-            // Candidate path: exact full-length lists through the retriever.
-            let forward_r = ExactRetriever::new(q, t).map_err(|e| e.to_string())?;
-            let reverse_r = ExactRetriever::new(t, q).map_err(|e| e.to_string())?;
-            let forward = batch_top_k(&forward_r, t.rows());
-            let reverse = batch_top_k(&reverse_r, *k);
+            // Candidate path: exact full-length lists through the index.
+            let forward = top_k(t, q, t.rows(), &exact())?;
+            let reverse = top_k(q, t, *k, &exact())?;
             let rescored = csls_rescale_candidates(&forward, &reverse, *k);
             for (qi, list) in rescored.iter().enumerate() {
                 ensure_eq!(list.len(), t.rows());
@@ -211,8 +222,7 @@ fn exact_mutual_nn_matches_dense_mining() {
         |(x_s, x_t, cand_s, cand_t, min_score)| {
             let sim = cosine_similarity(x_s, x_t);
             let want = mutual_nearest_neighbours(&sim, cand_s, cand_t, *min_score);
-            let cfg = RetrievalConfig { kind: IndexKind::Exact, ..RetrievalConfig::default() };
-            let got = mine_mutual_nn(x_s, x_t, cand_s, cand_t, *min_score, &cfg).map_err(|e| e.to_string())?;
+            let got = mine_mutual_nn(x_s, x_t, cand_s, cand_t, *min_score, &exact()).map_err(|e| e.to_string())?;
             let norm = |v: &[(usize, usize, f32)]| -> Vec<(usize, usize, u32)> {
                 v.iter().map(|&(s, t, sc)| (s, t, sc.to_bits())).collect()
             };
@@ -239,12 +249,14 @@ fn exact_embedding_evaluation_matches_dense_bitwise() {
         },
         |(x_s, x_t, pairs)| {
             let want = evaluate_ranking(&cosine_similarity(x_s, x_t), pairs);
-            let cfg = RetrievalConfig { kind: IndexKind::Exact, ..RetrievalConfig::default() };
-            let got = evaluate_ranking_embeddings(x_s, x_t, pairs, &cfg).map_err(|e| e.to_string())?;
-            ensure_eq!(got.hits_at_1.to_bits(), want.hits_at_1.to_bits());
-            ensure_eq!(got.hits_at_10.to_bits(), want.hits_at_10.to_bits());
-            ensure_eq!(got.mrr.to_bits(), want.mrr.to_bits());
-            ensure_eq!(got.num_queries, want.num_queries);
+            for threads in THREADS {
+                let got = with_threads(threads, || evaluate_ranking_embeddings(x_s, x_t, pairs, &exact()))
+                    .map_err(|e| e.to_string())?;
+                ensure_eq!(got.hits_at_1.to_bits(), want.hits_at_1.to_bits());
+                ensure_eq!(got.hits_at_10.to_bits(), want.hits_at_10.to_bits());
+                ensure_eq!(got.mrr.to_bits(), want.mrr.to_bits());
+                ensure_eq!(got.num_queries, want.num_queries);
+            }
             Ok(())
         },
     );

@@ -11,7 +11,7 @@
 //!
 //! Knobs (all env, see docs/SERVING.md): `DESALIGN_SEED`,
 //! `DESALIGN_SCALE`, `DESALIGN_EPOCHS`, `DESALIGN_SERVE_BACKEND`
-//! (`dense` | `exact` | `ivf`), `DESALIGN_SERVE_CHECKPOINT`, plus the
+//! (`exact` | `ivf`), `DESALIGN_SERVE_CHECKPOINT`, plus the
 //! `DESALIGN_SERVE_*` server knobs read by `ServeConfig::from_env`.
 
 use desalign_core::{DesalignConfig, DesalignModel, RetrievalBackend};
@@ -41,11 +41,10 @@ fn model_config(epochs: usize) -> DesalignConfig {
     let mut cfg = DesalignConfig::fast();
     cfg.epochs = epochs;
     cfg.retrieval.backend = match std::env::var("DESALIGN_SERVE_BACKEND").as_deref() {
-        Err(_) | Ok("dense") => RetrievalBackend::Dense,
-        Ok("exact") => RetrievalBackend::Exact,
+        Err(_) | Ok("exact") => RetrievalBackend::Exact,
         Ok("ivf") => RetrievalBackend::Ivf,
         Ok(other) => {
-            eprintln!("desalign-serve: unknown DESALIGN_SERVE_BACKEND '{other}' (use dense|exact|ivf)");
+            eprintln!("desalign-serve: unknown DESALIGN_SERVE_BACKEND '{other}' (use exact|ivf)");
             std::process::exit(2);
         }
     };

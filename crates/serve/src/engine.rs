@@ -83,8 +83,7 @@ impl AlignEngine {
     /// Builds an engine from a trained model: the per-round L2-normalized
     /// SP-state embeddings (`DesalignModel::retrieval_embeddings`) are
     /// precomputed **once** here, and the index backend follows the
-    /// model's `RetrievalSettings` (`Dense` maps to the exact scan — the
-    /// same mapping `eval_config` applies everywhere else).
+    /// model's `RetrievalSettings`, as evaluation and mining do.
     ///
     /// # Errors
     /// Propagates the index constructor's typed errors.

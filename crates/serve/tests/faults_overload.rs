@@ -51,12 +51,8 @@ fn ivf_engine() -> AlignEngine {
 fn round_trip(addr: std::net::SocketAddr, method: &str, path: &str, body: &str, headers: &str) -> (u16, String, String) {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        s,
-        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
+    let request = format!("{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n{body}", body.len());
+    s.write_all(request.as_bytes()).unwrap();
     let mut out = String::new();
     s.read_to_string(&mut out).unwrap();
     let (head, body) = out.split_once("\r\n\r\n").expect("framed response");
@@ -235,7 +231,11 @@ fn socket_read_faults_never_kill_the_server() {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let body = format!("{{\"entity\": {}, \"k\": 2}}", i % 8);
-        let _ = write!(s, "POST /v1/align HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}", body.len());
+        // One write per request: `write!` would issue one per format piece,
+        // making the number of server reads (and so which of them the
+        // schedule faults) vary from run to run.
+        let request = format!("POST /v1/align HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}", body.len());
+        let _ = s.write_all(request.as_bytes());
         let mut out = String::new();
         let _ = s.read_to_string(&mut out);
         if out.starts_with("HTTP/1.1 200") {
