@@ -125,10 +125,11 @@ rm -f "$telemetry_json" "$telemetry_jsonl" "$telemetry_stdout"
 # Kernel bench smoke + gate: tiny scale and sample count, output redirected
 # to a scratch file so the committed full-scale BENCH_kernels.json is
 # untouched. DESALIGN_KERNEL_GATE=1 makes the bench itself assert (mirrors
-# the retrieval gate): naive and shipped matmul/spmm agree bit for bit,
-# every median is a positive finite timing, the tiled matmul/spmm beat
-# their in-bench naive baselines, and the dispatched leg never falls far
-# behind forced-serial (the PAR_MIN_COST calibration). The greps below
+# the retrieval gate): naive and shipped matmul/matmul_nt/matmul_tn/spmm
+# agree bit for bit, every median is a positive finite timing, the tiled
+# matmul/matmul_nt/matmul_tn/spmm beat their in-bench naive baselines,
+# and the dispatched leg never falls far behind forced-serial (the
+# PAR_MIN_COST calibration). The greps below
 # double-check the artifact so a silent gate regression cannot pass.
 echo "==> cargo bench --bench kernels (smoke + kernel gate)"
 smoke_out=$(mktemp)

@@ -119,11 +119,59 @@ impl Op {
             Op::ConcatCols(parts) => parts.clone(),
         }
     }
+
+    /// Telemetry span name of this op's backward step: `bwd.` plus the
+    /// [`Tape`](crate::Tape) method that records it. The prefix keeps
+    /// by-name sums of the tensor kernels' own spans (`matmul_nt`, `spmm_t`,
+    /// …), which nest inside these, from counting them twice.
+    pub(crate) fn span_name(&self) -> &'static str {
+        match self {
+            Op::Leaf => "bwd.leaf",
+            Op::Constant => "bwd.constant",
+            Op::Add(..) => "bwd.add",
+            Op::Sub(..) => "bwd.sub",
+            Op::Mul(..) => "bwd.mul",
+            Op::Scale(..) => "bwd.scale",
+            Op::AddConst(..) => "bwd.add_const",
+            Op::MatMul(..) => "bwd.matmul",
+            Op::SpMM(..) => "bwd.spmm",
+            Op::Transpose(..) => "bwd.transpose",
+            Op::Relu(..) => "bwd.relu",
+            Op::LeakyRelu(..) => "bwd.leaky_relu",
+            Op::Exp(..) => "bwd.exp",
+            Op::Square(..) => "bwd.square",
+            Op::Ln(..) => "bwd.ln",
+            Op::Div(..) => "bwd.div",
+            Op::Sqrt(..) => "bwd.sqrt",
+            Op::Artanh(..) => "bwd.artanh",
+            Op::SoftmaxRows(..) => "bwd.softmax_rows",
+            Op::LayerNormRows(..) => "bwd.layernorm_rows",
+            Op::L2NormalizeRows(..) => "bwd.l2_normalize_rows",
+            Op::ConcatCols(..) => "bwd.concat_cols",
+            Op::SliceCols(..) => "bwd.slice_cols",
+            Op::GatherRows(..) => "bwd.gather_rows",
+            Op::ScatterAddRows(..) => "bwd.scatter_add_rows",
+            Op::EdgeSoftmax(..) => "bwd.edge_softmax",
+            Op::SumAll(..) => "bwd.sum_all",
+            Op::MeanAll(..) => "bwd.mean_all",
+            Op::RowSum(..) => "bwd.row_sum",
+            Op::ColSum(..) => "bwd.col_sum",
+            Op::MulBroadcastCol(..) => "bwd.mul_broadcast_col",
+            Op::MulBroadcastRow(..) => "bwd.mul_broadcast_row",
+            Op::AddBroadcastRow(..) => "bwd.add_broadcast_row",
+            Op::CrossEntropyRows(..) => "bwd.cross_entropy_rows",
+        }
+    }
 }
 
 /// Computes the gradient contributions `(parent_id, ∂L/∂parent)` of one node
-/// given its output value `y`, upstream gradient `g`, and read access to
-/// parent values.
+/// given its output value `y`, upstream gradient `g`, read access to parent
+/// values, and whether each parent takes a gradient (`requires_grad`).
+///
+/// `MatMul` computes only the sides whose parent takes a gradient — a
+/// product against a constant input would otherwise cost a full discarded
+/// GEMM. Other ops return every side; the tape recycles the buffers of
+/// contributions into constants unread.
 ///
 /// Every gradient matrix is allocated through the [`Workspace`] so that
 /// buffers recycled from previous steps are reused; the arithmetic is
@@ -136,6 +184,7 @@ pub(crate) fn backward_contributions<'a>(
     y: &Matrix,
     g: &Matrix,
     value_of: &impl Fn(usize) -> &'a Matrix,
+    requires_grad: &impl Fn(usize) -> bool,
     ws: &mut Workspace,
 ) -> Vec<(usize, Matrix)> {
     match op {
@@ -150,11 +199,18 @@ pub(crate) fn backward_contributions<'a>(
         Op::AddConst(a, _) => vec![(*a, ws.clone_of(g))],
         Op::MatMul(a, b) => {
             let (va, vb) = (value_of(*a), value_of(*b));
-            let mut ga = ws.uninit(g.rows(), vb.rows());
-            g.matmul_nt_into(vb, &mut ga);
-            let mut gb = ws.uninit(va.cols(), g.cols());
-            va.matmul_tn_into(g, &mut gb);
-            vec![(*a, ga), (*b, gb)]
+            let mut out = Vec::with_capacity(2);
+            if requires_grad(*a) {
+                let mut ga = ws.uninit(g.rows(), vb.rows());
+                g.matmul_nt_into(vb, &mut ga);
+                out.push((*a, ga));
+            }
+            if requires_grad(*b) {
+                let mut gb = ws.uninit(va.cols(), g.cols());
+                va.matmul_tn_into(g, &mut gb);
+                out.push((*b, gb));
+            }
+            out
         }
         Op::SpMM(s, a) => {
             let mut gx = ws.zeros(s.cols(), g.cols());

@@ -128,10 +128,12 @@ impl Tape {
             let Some(grad) = self.nodes[i].grad.take() else { continue };
             let op = self.nodes[i].op.clone();
             let contribs = {
+                let _span = desalign_telemetry::span(op.span_name());
                 let nodes = &self.nodes;
                 let value_of = |p: usize| &nodes[p].value;
+                let requires_grad = |p: usize| nodes[p].requires_grad;
                 let mut ws = self.ws.borrow_mut();
-                backward_contributions(&op, &nodes[i].value, &grad, &value_of, &mut ws)
+                backward_contributions(&op, &nodes[i].value, &grad, &value_of, &requires_grad, &mut ws)
             };
             self.nodes[i].grad = Some(grad);
             for (pid, g) in contribs {
@@ -482,6 +484,56 @@ mod tests {
         t.backward(loss);
         assert!(t.grad(c).is_none());
         assert_eq!(t.grad(x).expect("grad").as_slice(), &[3.0, 3.0]);
+    }
+
+    #[test]
+    fn matmul_against_a_constant_computes_only_the_trainable_side() {
+        let x = Matrix::from_rows(&[&[1.5, -2.0, 0.25], &[3.0, 0.5, -1.0]]);
+        let w = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.75], &[-0.125, 1.0]]);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        // Reference: both operands trainable, so both sides are computed.
+        let mut full = Tape::new();
+        let (xf, wf) = (full.leaf(x.clone()), full.leaf(w.clone()));
+        let yf = full.matmul(xf, wf);
+        let loss = full.sum_all(yf);
+        full.backward(loss);
+
+        let mut t = Tape::new();
+        let c = t.constant(x);
+        let wl = t.leaf(w);
+        let y = t.matmul(c, wl);
+        let loss = t.sum_all(y);
+        let before = t.workspace().borrow().stats();
+        t.backward(loss);
+        let after = t.workspace().borrow().stats();
+
+        assert_eq!(bits(t.grad(wl).expect("grad")), bits(full.grad(wf).expect("grad")));
+        assert!(t.grad(c).is_none());
+        // One buffer each for the loss seed, the `sum_all` gradient and the
+        // matmul's `xᵀ·g`; the constant's `g·wᵀ` is never allocated.
+        let handed_out = (after.fresh + after.reused) - (before.fresh + before.reused);
+        assert_eq!(handed_out, 3, "matmul backward computed a gradient for its constant operand");
+    }
+
+    #[test]
+    fn backward_steps_are_timed_under_their_op_name() {
+        desalign_telemetry::set_enabled(Some(true));
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::full(3, 2, 0.5));
+        let w = t.leaf(Matrix::full(2, 4, -1.0));
+        let y = t.matmul(x, w);
+        let loss = t.sum_all(y);
+        t.backward(loss);
+        desalign_telemetry::set_enabled(None);
+        // Spans nest per thread, so this test's are roots of the report;
+        // the kernels the op calls nest under the op's span.
+        let roots = desalign_telemetry::span_report();
+        let bwd = roots.iter().find(|n| n.name == "bwd.matmul").expect("bwd.matmul span");
+        for kernel in ["matmul_nt", "matmul_tn"] {
+            assert!(bwd.children.iter().any(|c| c.name == kernel), "{kernel} is not nested under bwd.matmul");
+        }
+        assert!(roots.iter().any(|n| n.name == "bwd.sum_all"));
     }
 
     #[test]

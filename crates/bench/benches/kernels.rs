@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the numeric kernels behind the paper's efficiency
-//! claims (§V-E): dense matmul, sparse-dense products, Dirichlet energy,
-//! one Semantic Propagation step, and a GAT forward pass.
+//! claims (§V-E): dense matmul and its two backward products (`matmul_nt`,
+//! `matmul_tn`), sparse-dense products, Dirichlet energy, one Semantic
+//! Propagation step, and a GAT forward pass.
 //!
 //! Every kernel is timed three ways:
 //!
@@ -19,7 +20,9 @@
 //!
 //! Before timing, the shipped matmul/spmm outputs are compared bit for bit
 //! against their contract references — naive `ikj` for matmul (tiling is
-//! bit-preserving) and a stored-order `f32::mul_add` fold for spmm (the
+//! bit-preserving), one `dot` per element for `matmul_nt`, the
+//! block-partitioned ascending loop for `matmul_tn`, and a stored-order
+//! `f32::mul_add` fold for spmm (the
 //! bucketed kernel's fused contract; the plain mul-then-add naive kernel is
 //! the timing baseline only, its bits differ in the last ulp). Enforced at
 //! bench scale on top of the property suites.
@@ -38,21 +41,26 @@
 //!   a committed full-scale table is never clobbered by a 2-sample run);
 //! - `DESALIGN_KERNEL_GATE=1` — assertion mode for CI (mirrors
 //!   `DESALIGN_RETRIEVAL_GATE`): every median must be non-zero, the tiled
-//!   matmul/spmm must beat their naive baselines, and the dispatched leg
-//!   must not fall far behind forced-serial.
+//!   matmul/matmul_nt/matmul_tn/spmm must beat their naive baselines, and
+//!   the dispatched leg must not fall far behind forced-serial.
 
+use desalign_bench::cpu_model;
 use desalign_bench::timing::{bench, bench_stats, DEFAULT_SAMPLES};
 use desalign_graph::{dirichlet_energy, propagate_features, Csr, PropagationConfig};
 use desalign_mmkg::{DatasetSpec, SynthConfig};
 use desalign_nn::{GatEncoder, ParamStore, Session};
-use desalign_parallel::{configured_threads, with_threads, PAR_MIN_COST};
-use desalign_tensor::{normal_matrix, rng_from_seed, Matrix};
+use desalign_parallel::{configured_threads, fixed_block_len, with_threads, PAR_MIN_COST};
+use desalign_tensor::{dot, normal_matrix, rng_from_seed, Matrix};
 use desalign_util::{json, Json};
 use std::hint::black_box;
 use std::rc::Rc;
 
-/// The scales of the ISSUE's serial-vs-parallel comparison.
+/// The scales of the serial-vs-parallel comparison.
 const SCALES: [usize; 3] = [500, 2000, 8000];
+
+/// Entity count of the training workload's backward products (scale 400,
+/// d = 64), benchmarked for `matmul_nt` / `matmul_tn` beside [`SCALES`].
+const TRAINING_N: usize = 400;
 
 fn samples() -> usize {
     std::env::var("DESALIGN_BENCH_SAMPLES").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_SAMPLES)
@@ -150,7 +158,7 @@ fn compare<F: FnMut(), B: FnMut()>(
         for (leg, ns) in [("naive", b), ("serial", s), ("parallel", p)] {
             assert!(ns > 0.0 && ns.is_finite(), "{name}/{n}: {leg} median {ns} ns is not a positive finite timing");
         }
-        if matches!(name, "matmul" | "spmm") {
+        if matches!(name, "matmul" | "matmul_nt" | "matmul_tn" | "spmm") {
             assert!(tiled_speedup > 1.0, "{name}/{n}: shipped kernel ({s} ns) does not beat the naive baseline ({b} ns)");
         }
         // Dispatch calibration: the legs run bit-identical kernels, so a
@@ -227,6 +235,47 @@ fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
             let a_ip = a_row[p];
             for (o, &bv) in out_row.iter_mut().zip(b.row(p)) {
                 *o += a_ip * bv;
+            }
+        }
+    }
+    out
+}
+
+/// `matmul_nt`'s contract: one [`dot`] per output element, so every
+/// element keeps `dot`'s 4-lane tree. Also the timing baseline.
+fn matmul_nt_naive(a: &Matrix, b: &Matrix) -> Matrix {
+    let (n, m) = (a.rows(), b.rows());
+    let mut out = Matrix::zeros(n, m);
+    for i in 0..n {
+        for j in 0..m {
+            out[(i, j)] = dot(a.row(i), b.row(j));
+        }
+    }
+    out
+}
+
+/// `matmul_tn`'s contract: the shared rows split into
+/// `fixed_block_len(k, 256)` blocks, each accumulated ascending into its
+/// own partial with a row-at-a-time `ikj` loop, the partials merged in
+/// block order. Also the timing baseline.
+fn matmul_tn_naive(a: &Matrix, b: &Matrix) -> Matrix {
+    let (k, n, m) = (a.rows(), a.cols(), b.cols());
+    let block = fixed_block_len(k, 256);
+    let mut out = Matrix::zeros(n, m);
+    for p0 in (0..k).step_by(block) {
+        let mut part = Matrix::zeros(n, m);
+        for p in p0..(p0 + block).min(k) {
+            for (i, &av) in a.row(p).iter().enumerate() {
+                for (o, &bv) in part.row_mut(i).iter_mut().zip(b.row(p)) {
+                    *o += av * bv;
+                }
+            }
+        }
+        if p0 == 0 {
+            out = part;
+        } else {
+            for (o, &v) in out.as_mut_slice().iter_mut().zip(part.as_slice()) {
+                *o += v;
             }
         }
     }
@@ -344,6 +393,46 @@ fn bench_matmul(rows: &mut Vec<Json>, zero_skip_rows: &mut Vec<Json>, threads: u
     }
 }
 
+/// The backward products of the matmul above: `g·Wᵀ` (`matmul_nt`,
+/// n × 64 times a transposed 64 × 64 weight) and `Xᵀ·g` (`matmul_tn`, a
+/// 64 × 64 weight gradient reduced over n rows), at the training entity
+/// count and at [`SCALES`].
+fn bench_backward_matmuls(rows: &mut Vec<Json>, threads: usize) {
+    for n in std::iter::once(TRAINING_N).chain(scales()).filter(|&n| n <= max_n()) {
+        let x = normal_matrix(&mut rng_from_seed(1), n, 64, 0.0, 1.0);
+        let g = normal_matrix(&mut rng_from_seed(6), n, 64, 0.0, 1.0);
+        let w = normal_matrix(&mut rng_from_seed(2), 64, 64, 0.0, 1.0);
+        assert_bits_eq(&matmul_nt_naive(&g, &w), &g.matmul_nt(&w), "matmul_nt (tiled vs per-element dot)");
+        assert_bits_eq(&matmul_tn_naive(&x, &g), &x.matmul_tn(&g), "matmul_tn (tiled vs block-partitioned loop)");
+        compare(
+            rows,
+            "matmul_nt",
+            n,
+            n * 64 * 64,
+            threads,
+            || {
+                black_box(g.matmul_nt(&w));
+            },
+            || {
+                black_box(matmul_nt_naive(&g, &w));
+            },
+        );
+        compare(
+            rows,
+            "matmul_tn",
+            n,
+            n * 64 * 64,
+            threads,
+            || {
+                black_box(x.matmul_tn(&g));
+            },
+            || {
+                black_box(matmul_tn_naive(&x, &g));
+            },
+        );
+    }
+}
+
 fn bench_spmm(rows: &mut Vec<Json>, threads: usize) {
     for n in scales() {
         let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(n).generate(1);
@@ -432,7 +521,7 @@ fn bench_gat_forward() {
 fn main() {
     let host = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let threads = configured_threads();
-    println!("host parallelism: {host}, parallel leg runs {threads} thread(s)");
+    println!("host: {}, parallelism {host}, parallel leg runs {threads} thread(s)", cpu_model());
     if gate_enabled() {
         println!("DESALIGN_KERNEL_GATE=1: timing sanity / tiled-beats-naive / dispatch assertions on");
     }
@@ -441,6 +530,7 @@ fn main() {
     let mut rows: Vec<Json> = Vec::new();
     let mut zero_skip_rows: Vec<Json> = Vec::new();
     bench_matmul(&mut rows, &mut zero_skip_rows, threads);
+    bench_backward_matmuls(&mut rows, threads);
     bench_spmm(&mut rows, threads);
     bench_dirichlet_energy(&mut rows, threads);
     bench_semantic_propagation(&mut rows, threads);
@@ -448,6 +538,7 @@ fn main() {
 
     let out = json!({
         "schema_version": 2,
+        "cpu_model": cpu_model(),
         "host_threads": host,
         "parallel_threads": threads,
         "samples": samples(),

@@ -5,16 +5,19 @@
 //! (the paper claims `O(|E| d)` — linear — and that SP runs in seconds on
 //! CPU even for graphs beyond GPU memory).
 
-use desalign_bench::{HarnessConfig, ALL_WITH_OURS};
+use desalign_bench::{cpu_model, HarnessConfig, ALL_WITH_OURS};
 use desalign_core::DesalignModel;
 use desalign_graph::{propagate_features, PropagationConfig};
 use desalign_mmkg::{DatasetSpec, SynthConfig};
+use desalign_parallel::configured_threads;
 use desalign_tensor::{normal_matrix, rng_from_seed};
 use std::time::Instant;
 
 fn main() {
     let h = HarnessConfig::from_env();
     let mut all_json = Vec::new();
+    let host_threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    println!("host: {}, {host_threads} hardware thread(s), pool {} thread(s)\n", cpu_model(), configured_threads());
 
     println!("=== Training wall-clock per method (scale {}, {} epochs) ===", h.scale, h.epochs);
     for spec in [DatasetSpec::FbDb15k, DatasetSpec::Dbp15kFrEn] {

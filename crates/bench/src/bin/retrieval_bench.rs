@@ -76,17 +76,6 @@ fn synth_queries(rng: &mut Rng64, items: &Matrix, nq: usize) -> Matrix {
     Matrix::from_vec(nq, dim, data)
 }
 
-/// The first `model name` in `/proc/cpuinfo`, or `unknown`.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find_map(|l| l.strip_prefix("model name").and_then(|r| r.split_once(':')).map(|(_, m)| m.trim().to_string()))
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
 fn mean_recall(approx: &[Vec<(usize, f32)>], exact: &[Vec<(usize, f32)>], k: usize) -> f64 {
     let mut hit = 0usize;
     let mut total = 0usize;
@@ -194,7 +183,7 @@ fn main() {
 
     dump_json(&out, &json!({
         "host": json!({
-            "cpu_model": cpu_model(),
+            "cpu_model": desalign_bench::cpu_model(),
             "host_threads": std::thread::available_parallelism().map_or(1, |n| n.get()),
             "parallel_threads": desalign_parallel::current_threads(),
         }),

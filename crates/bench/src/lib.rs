@@ -257,6 +257,18 @@ pub fn print_table(title: &str, conditions: &[String], rows: &[ResultRow]) {
     }
 }
 
+/// The first `model name` in `/proc/cpuinfo`, or `unknown`: names the
+/// host a committed timing was measured on.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name").and_then(|r| r.split_once(':')).map(|(_, m)| m.trim().to_string()))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Unwraps a result in a bench `main`, or prints `error: <what>: <cause>`
 /// to stderr and exits nonzero. The bench bins use this instead of
 /// `unwrap`/`expect` on I/O so a full disk or missing directory produces a

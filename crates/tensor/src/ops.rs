@@ -120,13 +120,14 @@ impl Matrix {
     /// and results are bit-identical at any thread count.
     ///
     /// Within a block the kernel is register-tiled like [`Matrix::matmul`]:
-    /// both operands are packed once (panels index by the shared row, so one
-    /// packing serves every block) and an `MR × NR` tile is accumulated in
-    /// registers over the block's row range, ascending. The historical
-    /// zero-skip on the left operand is gone: starting from `+0.0` an
-    /// accumulator can never become `-0.0`, so the skipped `±0.0` products
-    /// could never change a bit for finite operands — the branch only cost
-    /// vectorization (see `tile.rs`).
+    /// `other` is packed once (panels index by the shared row, so one
+    /// packing serves every block), `self` is read in place (each of its
+    /// rows holds a tile's left values side by side), and an `MR × NR` tile
+    /// is accumulated in registers over the block's row range, ascending.
+    /// The historical zero-skip on the left operand is gone: starting from
+    /// `+0.0` an accumulator can never become `-0.0`, so the skipped `±0.0`
+    /// products could never change a bit for finite operands — the branch
+    /// only cost vectorization (see `tile.rs`).
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols(), other.cols());
         self.matmul_tn_into(other, &mut out);
@@ -156,13 +157,13 @@ impl Matrix {
             out.as_mut_slice().fill(0.0);
             return;
         }
-        let a_panels = tile::pack_cols(self, tile::MR);
+        let a = self.as_slice();
         let b_panels = tile::pack_cols(other, tile::NR);
         let block = desalign_parallel::fixed_block_len(k, 256);
         let cost = k.saturating_mul(n).saturating_mul(m);
         let partials = desalign_parallel::par_blocks(k, block, cost, |_b, range| {
             let mut part = Matrix::zeros(n, m);
-            tile::gemm_tn_block(&a_panels, &b_panels, range, k, n, m, &mut part);
+            tile::gemm_tn_block(a, &b_panels, range, k, &mut part);
             part
         });
         let mut parts = partials.into_iter();
@@ -179,11 +180,12 @@ impl Matrix {
 
     /// `self × otherᵀ` without materializing the transpose.
     ///
-    /// Register-tiled over `NT_MR × NT_NR` output tiles so each left-operand
-    /// row chunk is loaded once per several outputs; every element keeps
-    /// [`dot`]'s exact 4-lane accumulation tree (lane merge order and
-    /// sequential tail included), so results are bit-identical to the
-    /// per-element `dot` kernel at any thread count.
+    /// Register-tiled like [`Matrix::matmul`]: `other` is packed once into
+    /// transposed 16-wide panels, and each output row keeps four
+    /// accumulator vectors across a panel, one per [`dot`] lane. Every
+    /// element keeps `dot`'s exact 4-lane accumulation tree (lane merge
+    /// order and sequential tail included), so results are bit-identical
+    /// to the per-element `dot` kernel at any thread count (see `tile.rs`).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows(), other.rows());
         self.matmul_nt_into(other, &mut out);
@@ -213,11 +215,11 @@ impl Matrix {
         if out.is_empty() {
             return;
         }
+        let b_panels = tile::pack_rows(other, tile::NR);
         let a = self.as_slice();
-        let b = other.as_slice();
         let cost = n.saturating_mul(k).saturating_mul(m);
-        desalign_parallel::par_row_groups(out.as_mut_slice(), m, tile::NT_MR, cost, |i0, chunk| {
-            tile::gemm_nt_block(a, b, k, m, i0, chunk);
+        desalign_parallel::par_row_groups(out.as_mut_slice(), m, tile::MR, cost, |i0, chunk| {
+            tile::gemm_nt_block(a, k, m, i0, chunk, &b_panels);
         });
     }
 

@@ -1,26 +1,40 @@
 //! Register-tiled dense matmul microkernels with packed operand panels.
 //!
 //! The three product kernels (`matmul`, `matmul_tn`, `matmul_nt`) share one
-//! design: the right operand is packed into `NR`-wide column panels so the
-//! inner loop streams contiguous memory, and a microkernel accumulates an
-//! `MR × NR` output tile entirely in registers before touching the output
-//! matrix once. The old kernels round-tripped every output row through
-//! memory once per shared-dimension step; the tile versions do it once per
-//! tile, which is where the single-core win comes from.
+//! design: the right operand is packed into `NR`-wide panels over the
+//! output columns so the inner loop streams contiguous memory, and a
+//! microkernel accumulates an `MR × NR` output tile entirely in registers
+//! before touching the output matrix once. Per shared index `p` the inner
+//! loop broadcasts one left-operand value per tile row and multiply-adds it
+//! into that row's `NR` accumulators — a full-width vector operation.
+//!
+//! - `matmul` (NN) packs `b`'s columns ([`pack_cols`]) and reads `a`'s rows.
+//! - `matmul_tn` packs `b`'s columns the same way and reads the left
+//!   operand in place: its row `p` already holds `a[p][i0..i0+MR]` side by
+//!   side, so no packing is needed there.
+//! - `matmul_nt` packs `b` *transposed* ([`pack_rows`]): for each `p`, the
+//!   values `b[j][p]` of one output panel sit side by side.
 //!
 //! **Bit-exactness invariant.** Tiling here only re-groups *which* output
 //! elements are computed together — it never splits or reorders the
 //! reduction over the shared dimension. Every accumulator starts at `+0.0`
-//! and receives exactly the same multiply-adds, in exactly the same
-//! (ascending) order, as the pre-tile kernels:
+//! and receives exactly the same multiply-adds, in exactly the same order,
+//! as the reference kernels:
 //!
-//! - `matmul` / `matmul_tn` accumulated one scalar per output element over
+//! - `matmul` / `matmul_tn` accumulate one scalar per output element over
 //!   the shared index ascending; the `MR × NR` register tile keeps one
 //!   scalar accumulator per element with the same ascending loop.
-//! - `matmul_nt` computed each element with [`dot`](crate::dot)'s fixed
-//!   4-lane tree; the `NT` tile keeps all four lanes per element and merges
-//!   them with the identical `(l0 + l1) + l2) + l3` expression and the same
-//!   sequential tail.
+//!   `matmul_tn` keeps its fixed row-block partition and in-order merge of
+//!   the block partials (see `Matrix::matmul_tn`).
+//! - `matmul_nt` must equal [`dot`](crate::dot) per element, whose four
+//!   lanes each sum the products with `p ≡ l (mod 4)` over the whole
+//!   4-chunks, merge as `((l0 + l1) + l2) + l3`, then add the `k mod 4`
+//!   tail in order. The `NT` tile keeps four accumulator vectors per
+//!   output row — one per lane, each running across the panel's `NR`
+//!   columns — fed in ascending chunk order, merges them with the same
+//!   expression and adds the same tail. Each element thus sees `dot`'s
+//!   exact operation sequence; only the 16 columns of a panel advance
+//!   together.
 //! - `matmul_tn`'s old zero-skip (`if a == 0.0 { continue }`) is dropped:
 //!   starting from `+0.0` an accumulator can never become `-0.0`
 //!   (`x + (-x)` rounds to `+0.0`, and `+0.0 + -0.0 = +0.0`), so adding the
@@ -43,20 +57,14 @@ use std::ops::Range;
 /// Output-tile height (rows accumulated per microkernel invocation).
 /// With [`NR`] = 16 this is 64 `f32` accumulators — 8 AVX2 `ymm` registers
 /// (the workspace builds with `target-cpu=native`; see `.cargo/config.toml`)
-/// — leaving room for the operand loads.
+/// — leaving room for the operand loads. The `NT` tile holds four lanes of
+/// these (256 accumulators); it measured faster at this height than at 2.
 pub(crate) const MR: usize = 4;
 
 /// Output-tile width. A multiple of every SIMD width we care about; two
 /// 256-bit vectors per tile row keeps eight independent accumulator chains
 /// per microkernel, enough to hide FP-add latency.
 pub(crate) const NR: usize = 16;
-
-/// Output-tile height for the `NT` (dot-tree) microkernel, which needs four
-/// accumulator lanes per element to replicate [`dot`](crate::dot) exactly.
-pub(crate) const NT_MR: usize = 2;
-
-/// Output-tile width for the `NT` microkernel.
-pub(crate) const NT_NR: usize = 4;
 
 /// Packs `src` into `width`-wide column panels.
 ///
@@ -119,108 +127,115 @@ fn nn_rows<const M: usize>(a: &[f32], k: usize, m: usize, i0: usize, out_chunk: 
 }
 
 /// `matmul_tn` on one `par_blocks` row range: accumulates
-/// `aᵀ[·, range] × b[range, ·]` into `part` (which arrives zeroed).
+/// `aᵀ[·, range] × b[range, ·]` into the `n × m` `part` (which arrives
+/// zeroed).
 ///
-/// `a_panels` is [`pack_cols`]`(a, MR)` (panels over the `n` output rows),
-/// `b_panels` is [`pack_cols`]`(b, NR)`; both are packed once for the whole
-/// `k` and shared read-only across blocks.
-pub(crate) fn gemm_tn_block(
-    a_panels: &[f32],
-    b_panels: &[f32],
-    range: Range<usize>,
-    k: usize,
-    n: usize,
-    m: usize,
-    part: &mut Matrix,
-) {
-    if n == 0 || m == 0 {
-        return;
-    }
-    for ip in 0..n.div_ceil(MR) {
-        let i0 = ip * MR;
-        let ap = &a_panels[ip * k * MR..(ip + 1) * k * MR];
-        match MR.min(n - i0) {
-            1 => tn_rows::<1>(ap, b_panels, range.clone(), k, m, i0, part),
-            2 => tn_rows::<2>(ap, b_panels, range.clone(), k, m, i0, part),
-            3 => tn_rows::<3>(ap, b_panels, range.clone(), k, m, i0, part),
-            _ => tn_rows::<4>(ap, b_panels, range.clone(), k, m, i0, part),
+/// `a` is the row-major left operand (`k × n`) read in place — row `p`
+/// already holds `a[p][i0..i0+MR]` side by side, so it needs no packing —
+/// and `b_panels` is [`pack_cols`]`(b, NR)`, packed once for the whole `k`
+/// and shared read-only across blocks.
+pub(crate) fn gemm_tn_block(a: &[f32], b_panels: &[f32], range: Range<usize>, k: usize, part: &mut Matrix) {
+    for i0 in (0..part.rows()).step_by(MR) {
+        match MR.min(part.rows() - i0) {
+            1 => tn_rows::<1>(a, b_panels, range.clone(), k, i0, part),
+            2 => tn_rows::<2>(a, b_panels, range.clone(), k, i0, part),
+            3 => tn_rows::<3>(a, b_panels, range.clone(), k, i0, part),
+            _ => tn_rows::<4>(a, b_panels, range.clone(), k, i0, part),
         }
     }
 }
 
-fn tn_rows<const M: usize>(ap: &[f32], b_panels: &[f32], range: Range<usize>, k: usize, m: usize, i0: usize, part: &mut Matrix) {
+fn tn_rows<const M: usize>(a: &[f32], b_panels: &[f32], range: Range<usize>, k: usize, i0: usize, part: &mut Matrix) {
+    let (n, m) = part.shape();
     for q in 0..m.div_ceil(NR) {
         let j0 = q * NR;
         let width = NR.min(m - j0);
         let panel = &b_panels[q * k * NR..(q + 1) * k * NR];
         let mut acc = [[0.0f32; NR]; M];
         for p in range.clone() {
-            let av = &ap[p * MR..p * MR + MR];
+            let av = &a[p * n + i0..p * n + i0 + M];
             let bp = &panel[p * NR..p * NR + NR];
-            for mi in 0..M {
-                let a = av[mi];
+            for (acc_row, &a) in acc.iter_mut().zip(av) {
                 for jj in 0..NR {
-                    acc[mi][jj] += a * bp[jj];
+                    acc_row[jj] += a * bp[jj];
                 }
             }
         }
-        for mi in 0..M {
-            part.row_mut(i0 + mi)[j0..j0 + width].copy_from_slice(&acc[mi][..width]);
+        for (mi, acc_row) in acc.iter().enumerate() {
+            part.row_mut(i0 + mi)[j0..j0 + width].copy_from_slice(&acc_row[..width]);
         }
     }
 }
 
-/// `matmul_nt` on one group of up to [`NT_MR`] output rows.
+/// Packs the rows of `src` into `width`-wide panels, transposed: element
+/// `(p, jj)` of panel `q` is `src[q*width + jj][p]`, stored at
+/// `q*cols*width + p*width + jj` and zero-padded past the last row. This is
+/// [`pack_cols`] of `srcᵀ` without materializing the transpose: for each
+/// shared index `p`, one output panel's right-operand values sit side by
+/// side, which is what the `NT` microkernel streams.
+pub(crate) fn pack_rows(src: &Matrix, width: usize) -> Vec<f32> {
+    let (rows, cols) = src.shape();
+    let panels = rows.div_ceil(width).max(1);
+    let mut out = vec![0.0f32; panels * cols * width];
+    for (j, row) in src.as_slice().chunks_exact(cols.max(1)).enumerate() {
+        let base = (j / width) * cols * width + j % width;
+        for (p, &v) in row.iter().enumerate() {
+            out[base + p * width] = v;
+        }
+    }
+    out
+}
+
+/// `matmul_nt` on one group of up to [`MR`] output rows.
 ///
-/// `a` (`? × k`) and `b` (`m × k`) are both row-major; no packing is needed
-/// because the dot-product reduction already streams both operands'
-/// contiguous rows.
-pub(crate) fn gemm_nt_block(a: &[f32], b: &[f32], k: usize, m: usize, i0: usize, out_chunk: &mut [f32]) {
+/// `a` is the row-major left operand (`? × k`), `out_chunk` holds the
+/// group's rows of the `? × m` output, `b_panels` is [`pack_rows`]`(b, NR)`.
+pub(crate) fn gemm_nt_block(a: &[f32], k: usize, m: usize, i0: usize, out_chunk: &mut [f32], b_panels: &[f32]) {
     debug_assert!(m > 0);
     match out_chunk.len() / m {
-        1 => nt_rows::<1>(a, b, k, m, i0, out_chunk),
-        _ => nt_rows::<2>(a, b, k, m, i0, out_chunk),
+        1 => nt_rows::<1>(a, k, m, i0, out_chunk, b_panels),
+        2 => nt_rows::<2>(a, k, m, i0, out_chunk, b_panels),
+        3 => nt_rows::<3>(a, k, m, i0, out_chunk, b_panels),
+        _ => nt_rows::<4>(a, k, m, i0, out_chunk, b_panels),
     }
 }
 
-fn nt_rows<const M: usize>(a: &[f32], b: &[f32], k: usize, m: usize, i0: usize, out_chunk: &mut [f32]) {
-    let quads = m / NT_NR;
-    for q in 0..quads {
-        nt_tile::<M, { NT_NR }>(a, b, k, m, i0, q * NT_NR, out_chunk);
-    }
-    match m - quads * NT_NR {
-        1 => nt_tile::<M, 1>(a, b, k, m, i0, quads * NT_NR, out_chunk),
-        2 => nt_tile::<M, 2>(a, b, k, m, i0, quads * NT_NR, out_chunk),
-        3 => nt_tile::<M, 3>(a, b, k, m, i0, quads * NT_NR, out_chunk),
-        _ => {}
-    }
-}
-
-/// One `M × N` tile of `a × bᵀ`, each element replicating
-/// [`dot`](crate::dot)'s exact 4-lane accumulation tree.
-fn nt_tile<const M: usize, const N: usize>(a: &[f32], b: &[f32], k: usize, m: usize, i0: usize, j0: usize, out_chunk: &mut [f32]) {
+/// Each output element `(i, j)` replicates [`dot`](crate::dot)`(a[i], b[j])`
+/// exactly: lane `l` of row `mi` accumulates the products with `p ≡ l
+/// (mod 4)` over the whole chunks, ascending — one vector across the
+/// panel's `NR` columns per lane — then the lanes merge as
+/// `((l0 + l1) + l2) + l3` and the `k mod 4` tail is added in order.
+fn nt_rows<const M: usize>(a: &[f32], k: usize, m: usize, i0: usize, out_chunk: &mut [f32], b_panels: &[f32]) {
     let arows: [&[f32]; M] = std::array::from_fn(|mi| &a[(i0 + mi) * k..(i0 + mi + 1) * k]);
-    let brows: [&[f32]; N] = std::array::from_fn(|nj| &b[(j0 + nj) * k..(j0 + nj + 1) * k]);
     let chunks = k / 4;
-    let mut acc = [[[0.0f32; 4]; N]; M];
-    for c in 0..chunks {
-        let i = c * 4;
-        for mi in 0..M {
-            for nj in 0..N {
-                for l in 0..4 {
-                    acc[mi][nj][l] += arows[mi][i + l] * brows[nj][i + l];
+    for q in 0..m.div_ceil(NR) {
+        let j0 = q * NR;
+        let width = NR.min(m - j0);
+        let panel = &b_panels[q * k * NR..(q + 1) * k * NR];
+        let mut lanes = [[[0.0f32; NR]; M]; 4];
+        for c in 0..chunks {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                let p = c * 4 + l;
+                let bp = &panel[p * NR..p * NR + NR];
+                for (acc, arow) in lane.iter_mut().zip(arows) {
+                    let av = arow[p];
+                    for jj in 0..NR {
+                        acc[jj] += av * bp[jj];
+                    }
                 }
             }
         }
-    }
-    for mi in 0..M {
-        for nj in 0..N {
-            let lanes = acc[mi][nj];
-            let mut s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-            for i in chunks * 4..k {
-                s += arows[mi][i] * brows[nj][i];
+        let [l0, l1, l2, l3] = &lanes;
+        for mi in 0..M {
+            let mut s: [f32; NR] = std::array::from_fn(|jj| l0[mi][jj] + l1[mi][jj] + l2[mi][jj] + l3[mi][jj]);
+            for p in chunks * 4..k {
+                let av = arows[mi][p];
+                let bp = &panel[p * NR..p * NR + NR];
+                for jj in 0..NR {
+                    s[jj] += av * bp[jj];
+                }
             }
-            out_chunk[mi * m + j0 + nj] = s;
+            out_chunk[mi * m + j0..mi * m + j0 + width].copy_from_slice(&s[..width]);
         }
     }
 }

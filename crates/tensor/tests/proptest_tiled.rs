@@ -11,8 +11,10 @@
 //! conflates `+0.0` with `-0.0`).
 //!
 //! Shapes deliberately cover empty, 1×1, exact-multiple-of-tile, and
-//! non-multiple-of-tile sizes, and each product is checked under 1, 2, and
-//! 7 threads (`with_threads`), including one shape large enough to clear
+//! non-multiple-of-tile sizes, the edges of the `matmul_nt` lane layout
+//! (several column panels with a ragged last one, `k = 1`, a `k mod 4`
+//! tail) and the training products. Each product is checked under 1, 2,
+//! and 7 threads (`with_threads`), including shapes large enough to clear
 //! `PAR_MIN_COST` so the parallel path genuinely dispatches.
 
 use desalign_parallel::{fixed_block_len, with_threads};
@@ -21,20 +23,38 @@ use desalign_testkit::{check, ensure, gen};
 
 const CASES: u64 = 24;
 
-/// Shapes as (n, k, m): includes empty, 1×1, tile-exact (MR=4, NR=8,
-/// NT tile 2×4), non-multiples, and one above-dispatch-threshold case.
+/// Cases for [`TRAINING_SHAPES`], whose products are ~100× the small ones'.
+const TRAINING_CASES: u64 = 4;
+
+/// Shapes as (n, k, m): includes empty, 1×1, tile-exact (MR=4, NR=16),
+/// non-multiples, and one above-dispatch-threshold case. In every form the
+/// output is n×m and the shared (reduced) index has length k.
 const SHAPES: &[(usize, usize, usize)] = &[
     (0, 3, 4),
     (3, 0, 4),
     (3, 4, 0),
     (1, 1, 1),
     (4, 8, 8),
+    (4, 8, 16),
     (5, 13, 9),
     (7, 1, 17),
     (2, 300, 3),
     (13, 7, 13),
+    (3, 67, 67),  // output wider than one 16-column panel, ragged last panel
+    (9, 1, 40),   // k = 1: the GAT scorer h·a_src, no whole 4-lane chunk
+    (5, 13, 33),  // k mod 4 = 1 tail with three column panels
     (80, 80, 80), // 512k scalar ops: exceeds PAR_MIN_COST, exercises dispatch
 ];
+
+/// The training products at 400 entities and d = 64, checked at fewer
+/// cases: `(400, 64, 64)` is the backward `g·Wᵀ` of `matmul_nt`, and
+/// `(64, 400, 64)` the weight gradient `Xᵀ·g` of `matmul_tn`, whose 400
+/// shared rows span two reduction blocks.
+const TRAINING_SHAPES: &[(usize, usize, usize)] = &[(400, 64, 64), (64, 400, 64)];
+
+fn shapes() -> impl Iterator<Item = ((usize, usize, usize), u64)> {
+    SHAPES.iter().map(|&s| (s, CASES)).chain(TRAINING_SHAPES.iter().map(|&s| (s, TRAINING_CASES)))
+}
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -116,8 +136,8 @@ fn sparse_matrix(rng: &mut Rng64, rows: usize, cols: usize, zero_frac: f64) -> M
 
 #[test]
 fn tiled_matmul_bit_matches_naive_reference() {
-    for &(n, k, m) in SHAPES {
-        check(&format!("tiled_nn_{n}x{k}x{m}"), CASES, |rng| (gen::matrix(rng, n, k, -5.0, 5.0), gen::matrix(rng, k, m, -5.0, 5.0)), |(a, b)| {
+    for ((n, k, m), cases) in shapes() {
+        check(&format!("tiled_nn_{n}x{k}x{m}"), cases, |rng| (gen::matrix(rng, n, k, -5.0, 5.0), gen::matrix(rng, k, m, -5.0, 5.0)), |(a, b)| {
             let want = bits(&naive_nn(a, b));
             for threads in [1usize, 2, 7] {
                 let got = with_threads(threads, || a.matmul(b));
@@ -130,10 +150,10 @@ fn tiled_matmul_bit_matches_naive_reference() {
 
 #[test]
 fn tiled_matmul_tn_bit_matches_naive_reference() {
-    for &(n, k, m) in SHAPES {
+    for ((n, k, m), cases) in shapes() {
         // a is k×n here (the kernel computes aᵀ·b); half the entries are
         // exact zeros so the historical zero-skip path is genuinely hit.
-        check(&format!("tiled_tn_{n}x{k}x{m}"), CASES, |rng| (sparse_matrix(rng, k, n, 0.5), gen::matrix(rng, k, m, -5.0, 5.0)), |(a, b)| {
+        check(&format!("tiled_tn_{n}x{k}x{m}"), cases, |rng| (sparse_matrix(rng, k, n, 0.5), gen::matrix(rng, k, m, -5.0, 5.0)), |(a, b)| {
             let want = bits(&naive_tn(a, b));
             for threads in [1usize, 2, 7] {
                 let got = with_threads(threads, || a.matmul_tn(b));
@@ -146,8 +166,8 @@ fn tiled_matmul_tn_bit_matches_naive_reference() {
 
 #[test]
 fn tiled_matmul_nt_bit_matches_dot_reference() {
-    for &(n, k, m) in SHAPES {
-        check(&format!("tiled_nt_{n}x{k}x{m}"), CASES, |rng| (gen::matrix(rng, n, k, -5.0, 5.0), gen::matrix(rng, m, k, -5.0, 5.0)), |(a, b)| {
+    for ((n, k, m), cases) in shapes() {
+        check(&format!("tiled_nt_{n}x{k}x{m}"), cases, |rng| (gen::matrix(rng, n, k, -5.0, 5.0), gen::matrix(rng, m, k, -5.0, 5.0)), |(a, b)| {
             let want = bits(&naive_nt(a, b));
             for threads in [1usize, 2, 7] {
                 let got = with_threads(threads, || a.matmul_nt(b));
