@@ -236,6 +236,55 @@ mod tests {
     }
 
     #[test]
+    fn grad_edge_aggregate() {
+        // Node 1 has three in-edges (one repeated), node 3 none.
+        let src = Rc::new(vec![0usize, 2, 0, 1, 2]);
+        let dst = Rc::new(vec![1usize, 1, 1, 0, 2]);
+        let h0 = random(4, 3, 50);
+        let alpha0 = random(5, 1, 51);
+        let (s, d, a) = (Rc::clone(&src), Rc::clone(&dst), alpha0.clone());
+        let report = check_gradient(&h0, H, move |t, h| {
+            let alpha = t.constant(a.clone());
+            let out = t.edge_aggregate(h, alpha, Rc::clone(&s), Rc::clone(&d), 4);
+            let sq = t.square(out);
+            t.sum_all(sq)
+        });
+        assert!(report.passes(TOL), "wrt h: {report:?}");
+        let report = check_gradient(&alpha0, H, move |t, alpha| {
+            let h = t.constant(h0.clone());
+            let out = t.edge_aggregate(h, alpha, Rc::clone(&src), Rc::clone(&dst), 4);
+            let sq = t.square(out);
+            t.sum_all(sq)
+        });
+        assert!(report.passes(TOL), "wrt alpha: {report:?}");
+    }
+
+    #[test]
+    fn grad_modal_scores_and_mix() {
+        // Three modalities carved out of one input, so the check covers the
+        // query, key and value sides of both ops at once.
+        let (n, d, m) = (3, 2, 3);
+        let x0 = random(n, d * m, 52);
+        let weights: Vec<Matrix> = (0..3).map(|k| random(d, d, 53 + k)).collect();
+        let target = random(n, m * m, 56);
+        let report = check_gradient(&x0, H, move |t, x| {
+            let ws: Vec<Var> = weights.iter().map(|w| t.constant(w.clone())).collect();
+            let mods: Vec<Var> = (0..m).map(|i| t.slice_cols(x, i * d, (i + 1) * d)).collect();
+            let [qs, ks, vs] = [0, 1, 2].map(|k| mods.iter().map(|&v| t.matmul(v, ws[k])).collect::<Vec<_>>());
+            let beta = t.modal_scores(&qs, &ks, 0.7);
+            let outs: Vec<Var> = (0..m).map(|a| t.modal_mix(beta, a, &vs)).collect();
+            let all = t.concat_cols(&outs);
+            let sq = t.square(all);
+            let s = t.sum_all(sq);
+            let tv = t.constant(target.clone());
+            let wb = t.mul(beta, tv);
+            let sb = t.sum_all(wb);
+            t.add(s, sb)
+        });
+        assert!(report.passes(5e-2), "{report:?}");
+    }
+
+    #[test]
     fn grad_reductions_and_broadcasts() {
         let x0 = random(3, 4, 19);
         let scale_col = random(3, 1, 20);

@@ -78,6 +78,15 @@ pub(crate) enum Op {
     AddBroadcastRow(usize, usize),
     /// Fused softmax cross-entropy over rows with integer targets → 1×1
     CrossEntropyRows(usize, Rc<Vec<usize>>),
+    /// GAT neighbourhood sum `out[dst e] += h[src e] · α[e]`:
+    /// `(h, α, src, dst)`
+    EdgeAggregate(usize, usize, Rc<Vec<usize>>, Rc<Vec<usize>>),
+    /// Softmax of every query modality's scaled scores against every key
+    /// modality, n×M² (block `a` is query `a`): `(qs, ks, scale)`
+    ModalScores(Vec<usize>, Vec<usize>, f32),
+    /// Attention-weighted sum of the value modalities for query `a`:
+    /// `(β, a, vs)`
+    ModalMix(usize, usize, Vec<usize>),
 }
 
 impl Op {
@@ -117,51 +126,69 @@ impl Op {
             | Op::ColSum(a)
             | Op::CrossEntropyRows(a, _) => vec![*a],
             Op::ConcatCols(parts) => parts.clone(),
+            Op::EdgeAggregate(h, alpha, _, _) => vec![*h, *alpha],
+            Op::ModalScores(qs, ks, _) => qs.iter().chain(ks).copied().collect(),
+            Op::ModalMix(beta, _, vs) => std::iter::once(*beta).chain(vs.iter().copied()).collect(),
         }
     }
+}
 
-    /// Telemetry span name of this op's backward step: `bwd.` plus the
-    /// [`Tape`](crate::Tape) method that records it. The prefix keeps
-    /// by-name sums of the tensor kernels' own spans (`matmul_nt`, `spmm_t`,
-    /// …), which nest inside these, from counting them twice.
-    pub(crate) fn span_name(&self) -> &'static str {
-        match self {
-            Op::Leaf => "bwd.leaf",
-            Op::Constant => "bwd.constant",
-            Op::Add(..) => "bwd.add",
-            Op::Sub(..) => "bwd.sub",
-            Op::Mul(..) => "bwd.mul",
-            Op::Scale(..) => "bwd.scale",
-            Op::AddConst(..) => "bwd.add_const",
-            Op::MatMul(..) => "bwd.matmul",
-            Op::SpMM(..) => "bwd.spmm",
-            Op::Transpose(..) => "bwd.transpose",
-            Op::Relu(..) => "bwd.relu",
-            Op::LeakyRelu(..) => "bwd.leaky_relu",
-            Op::Exp(..) => "bwd.exp",
-            Op::Square(..) => "bwd.square",
-            Op::Ln(..) => "bwd.ln",
-            Op::Div(..) => "bwd.div",
-            Op::Sqrt(..) => "bwd.sqrt",
-            Op::Artanh(..) => "bwd.artanh",
-            Op::SoftmaxRows(..) => "bwd.softmax_rows",
-            Op::LayerNormRows(..) => "bwd.layernorm_rows",
-            Op::L2NormalizeRows(..) => "bwd.l2_normalize_rows",
-            Op::ConcatCols(..) => "bwd.concat_cols",
-            Op::SliceCols(..) => "bwd.slice_cols",
-            Op::GatherRows(..) => "bwd.gather_rows",
-            Op::ScatterAddRows(..) => "bwd.scatter_add_rows",
-            Op::EdgeSoftmax(..) => "bwd.edge_softmax",
-            Op::SumAll(..) => "bwd.sum_all",
-            Op::MeanAll(..) => "bwd.mean_all",
-            Op::RowSum(..) => "bwd.row_sum",
-            Op::ColSum(..) => "bwd.col_sum",
-            Op::MulBroadcastCol(..) => "bwd.mul_broadcast_col",
-            Op::MulBroadcastRow(..) => "bwd.mul_broadcast_row",
-            Op::AddBroadcastRow(..) => "bwd.add_broadcast_row",
-            Op::CrossEntropyRows(..) => "bwd.cross_entropy_rows",
+/// The op set's one name table. Each op is named after the [`Tape`](crate::Tape)
+/// method that records it; its forward value is computed in a `fwd.<name>`
+/// telemetry span and its backward step runs in `bwd.<name>`. The prefixes
+/// keep by-name sums of the tensor kernels' own spans (`matmul`, `spmm_t`,
+/// …), which nest inside these, from counting them twice.
+macro_rules! op_names {
+    ($($variant:ident => $name:literal,)*) => {
+        impl Op {
+            /// Telemetry span names of this op's forward and backward steps.
+            pub(crate) fn span_names(&self) -> (&'static str, &'static str) {
+                match self {
+                    $(Op::$variant { .. } => (concat!("fwd.", $name), concat!("bwd.", $name)),)*
+                }
+            }
         }
-    }
+    };
+}
+
+op_names! {
+    Leaf => "leaf",
+    Constant => "constant",
+    Add => "add",
+    Sub => "sub",
+    Mul => "mul",
+    Scale => "scale",
+    AddConst => "add_const",
+    MatMul => "matmul",
+    SpMM => "spmm",
+    Transpose => "transpose",
+    Relu => "relu",
+    LeakyRelu => "leaky_relu",
+    Exp => "exp",
+    Square => "square",
+    Ln => "ln",
+    Div => "div",
+    Sqrt => "sqrt",
+    Artanh => "artanh",
+    SoftmaxRows => "softmax_rows",
+    LayerNormRows => "layernorm_rows",
+    L2NormalizeRows => "l2_normalize_rows",
+    ConcatCols => "concat_cols",
+    SliceCols => "slice_cols",
+    GatherRows => "gather_rows",
+    ScatterAddRows => "scatter_add_rows",
+    EdgeSoftmax => "edge_softmax",
+    SumAll => "sum_all",
+    MeanAll => "mean_all",
+    RowSum => "row_sum",
+    ColSum => "col_sum",
+    MulBroadcastCol => "mul_broadcast_col",
+    MulBroadcastRow => "mul_broadcast_row",
+    AddBroadcastRow => "add_broadcast_row",
+    CrossEntropyRows => "cross_entropy_rows",
+    EdgeAggregate => "edge_aggregate",
+    ModalScores => "modal_scores",
+    ModalMix => "modal_mix",
 }
 
 /// Computes the gradient contributions `(parent_id, ∂L/∂parent)` of one node
@@ -487,5 +514,142 @@ pub(crate) fn backward_contributions<'a>(
             }
             vec![(*a, gx)]
         }
+        Op::EdgeAggregate(h, alpha, src, dst) => edge_aggregate_backward(g, *h, *alpha, src, dst, value_of, ws),
+        Op::ModalScores(qs, ks, scale) => modal_scores_backward(y, g, qs, ks, *scale, value_of, ws),
+        Op::ModalMix(beta, a, vs) => modal_mix_backward(g, *beta, *a, vs, value_of, ws),
     }
+}
+
+// The three fused attention ops below each replace a chain of the
+// primitives above. They compute every f32 value with the same operations,
+// in the same order, as the chain did through the tape. That includes the
+// order in which the tape summed a parent's contributions from several
+// nodes, so fusing moved no bit (`tests/fused_attention.rs` compares both).
+
+/// `EdgeAggregate` replaces `gather_rows(h, src)` → `mul_broadcast_col(·, α)`
+/// → `scatter_add_rows(·, dst, n)`. `∂α[e]` is the `mul_broadcast_col` row
+/// dot `Σ_c g[dst e][c]·h[src e][c]`; `∂h` is the `gather_rows` scatter of
+/// `g[dst e]·α[e]` into zeros, in edge order.
+fn edge_aggregate_backward<'a>(
+    g: &Matrix,
+    h: usize,
+    alpha: usize,
+    src: &[usize],
+    dst: &[usize],
+    value_of: &impl Fn(usize) -> &'a Matrix,
+    ws: &mut Workspace,
+) -> Vec<(usize, Matrix)> {
+    let (vh, va) = (value_of(h), value_of(alpha));
+    let mut gh = ws.zeros(vh.rows(), vh.cols());
+    let mut ga = ws.uninit(va.rows(), 1);
+    for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
+        let gd = g.row(d);
+        ga[(e, 0)] = gd.iter().zip(vh.row(s)).map(|(gv, hv)| gv * hv).sum();
+        let w = va[(e, 0)];
+        for (o, &gv) in gh.row_mut(s).iter_mut().zip(gd) {
+            *o += gv * w;
+        }
+    }
+    vec![(h, gh), (alpha, ga)]
+}
+
+/// `ModalScores` replaces, per query `a`: `mul(q_a, k_b)` → `row_sum` →
+/// `scale` for every key `b`, then `concat_cols` → `softmax_rows`. Per block
+/// the score gradient is the softmax backward `g⊙y − y·Σ(g⊙y)`, then
+/// `·scale`. The tape summed `q_a`'s contributions from its `mul` nodes
+/// latest first, i.e. over `b` from M−1 down to 0, and `k_b`'s over `a`
+/// from M−1 down to 0; the first term is taken as is, not added to zero.
+fn modal_scores_backward<'a>(
+    y: &Matrix,
+    g: &Matrix,
+    qs: &[usize],
+    ks: &[usize],
+    scale: f32,
+    value_of: &impl Fn(usize) -> &'a Matrix,
+    ws: &mut Workspace,
+) -> Vec<(usize, Matrix)> {
+    let m = qs.len();
+    let (n, d) = value_of(qs[0]).shape();
+    // ∂ of the scaled scores, n×M² like β.
+    let mut gs = ws.uninit(n, m * m);
+    for i in 0..n {
+        for ((out, gb), yb) in gs.row_mut(i).chunks_exact_mut(m).zip(g.row(i).chunks_exact(m)).zip(y.row(i).chunks_exact(m)) {
+            for ((o, &gv), &yv) in out.iter_mut().zip(gb).zip(yb) {
+                *o = gv * yv;
+            }
+            let dot: f32 = out.iter().sum();
+            for (o, &yv) in out.iter_mut().zip(yb) {
+                *o -= yv * dot;
+            }
+            for o in out.iter_mut() {
+                *o *= scale;
+            }
+        }
+    }
+    // One side of the scores' `mul`s: ∂x = Σ_r gs[·, base + r·stride] ·
+    // others[r], summed over r from M−1 down to 0.
+    let side = |ws: &mut Workspace, others: &[usize], base: usize, stride: usize| {
+        let mut gx = ws.uninit(n, d);
+        for i in 0..n {
+            let s = gs.row(i);
+            let row = gx.row_mut(i);
+            let last = m - 1;
+            let w = s[base + last * stride];
+            for (o, &v) in row.iter_mut().zip(value_of(others[last]).row(i)) {
+                *o = w * v;
+            }
+            for r in (0..last).rev() {
+                let w = s[base + r * stride];
+                for (o, &v) in row.iter_mut().zip(value_of(others[r]).row(i)) {
+                    *o += w * v;
+                }
+            }
+        }
+        gx
+    };
+    let mut out = Vec::with_capacity(2 * m);
+    for (a, &q) in qs.iter().enumerate() {
+        out.push((q, side(ws, ks, a * m, 1)));
+    }
+    for (b, &k) in ks.iter().enumerate() {
+        out.push((k, side(ws, qs, b, m)));
+    }
+    ws.recycle(gs);
+    out
+}
+
+/// `ModalMix` replaces, for query `a`: `slice_cols(β_a, j)` →
+/// `mul_broadcast_col(v_j, ·)` for every `j`, summed by a chain of `add`s.
+/// Every chain node passed `g` through unchanged, so `∂v_j = g·β[a·M+j]`
+/// and `∂β[a·M+j]` is the row dot `Σ_c g·v_j`; the other blocks of `∂β`
+/// are zeros.
+fn modal_mix_backward<'a>(
+    g: &Matrix,
+    beta: usize,
+    a: usize,
+    vs: &[usize],
+    value_of: &impl Fn(usize) -> &'a Matrix,
+    ws: &mut Workspace,
+) -> Vec<(usize, Matrix)> {
+    let m = vs.len();
+    let vb = value_of(beta);
+    let mut gb = ws.zeros(vb.rows(), vb.cols());
+    for i in 0..g.rows() {
+        let block = &mut gb.row_mut(i)[a * m..a * m + m];
+        for (o, &v) in block.iter_mut().zip(vs) {
+            *o = g.row(i).iter().zip(value_of(v).row(i)).map(|(gx, x)| gx * x).sum();
+        }
+    }
+    let mut out = vec![(beta, gb)];
+    for (j, &v) in vs.iter().enumerate() {
+        let mut gv = ws.uninit(g.rows(), g.cols());
+        for i in 0..g.rows() {
+            let w = vb[(i, a * m + j)];
+            for (x, &gx) in gv.row_mut(i).iter_mut().zip(g.row(i)) {
+                *x = gx * w;
+            }
+        }
+        out.push((v, gv));
+    }
+    out
 }

@@ -2,6 +2,7 @@
 
 use desalign_tensor::Matrix;
 use desalign_util::{DefectClass, DesalignError};
+use std::sync::OnceLock;
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -22,16 +23,40 @@ use desalign_util::{DefectClass, DesalignError};
 /// let x = Matrix::from_rows(&[&[1.0], &[10.0]]);
 /// assert_eq!(m.spmm(&x), Matrix::from_rows(&[&[20.0], &[3.0]]));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub struct Csr {
     rows: usize,
     cols: usize,
     indptr: Vec<usize>,
     indices: Vec<usize>,
     values: Vec<f32>,
+    /// `self.transpose()`, built by the first parallel [`Csr::spmm_t_into`]
+    /// that needs it. Not part of the matrix: equality ignores it and a
+    /// clone starts without it, so a mutated copy never carries a stale
+    /// one.
+    transposed: OnceLock<Box<Csr>>,
+}
+
+impl Clone for Csr {
+    fn clone(&self) -> Self {
+        Self::from_parts(self.rows, self.cols, self.indptr.clone(), self.indices.clone(), self.values.clone())
+    }
+}
+
+impl PartialEq for Csr {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && self.indptr == other.indptr
+            && self.indices == other.indices
+            && self.values == other.values
+    }
 }
 
 impl Csr {
+    fn from_parts(rows: usize, cols: usize, indptr: Vec<usize>, indices: Vec<usize>, values: Vec<f32>) -> Self {
+        Self { rows, cols, indptr, indices, values, transposed: OnceLock::new() }
+    }
+
     /// Builds a CSR matrix from COO triplets `(row, col, value)`.
     /// Duplicate coordinates are summed.
     ///
@@ -63,7 +88,7 @@ impl Csr {
                 indptr[r + 1] = indptr[r];
             }
         }
-        Self { rows, cols, indptr, indices, values }
+        Self::from_parts(rows, cols, indptr, indices, values)
     }
 
     /// Builds a CSR matrix from raw parts, checking every structural
@@ -156,7 +181,7 @@ impl Csr {
                 format!("stored value {} is not finite", values[k]),
             ));
         }
-        Ok(Self { rows, cols, indptr, indices, values })
+        Ok(Self::from_parts(rows, cols, indptr, indices, values))
     }
 
     /// Fallible counterpart of [`Csr::from_coo`]: reports out-of-bounds
@@ -184,13 +209,7 @@ impl Csr {
 
     /// Sparse identity matrix.
     pub fn identity(n: usize) -> Self {
-        Self {
-            rows: n,
-            cols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n).collect(),
-            values: vec![1.0; n],
-        }
+        Self::from_parts(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
     }
 
     /// Number of rows.
@@ -412,7 +431,8 @@ impl Csr {
     /// The serial loop scatters row `i` of `x` into output rows — a write
     /// pattern that cannot be row-partitioned. When parallelism is on and
     /// the product is large enough to benefit, the kernel switches to
-    /// `self.transpose().spmm(x)`, which IS row-partitionable and
+    /// `self.transpose().spmm(x)` (the transpose is built on the first such
+    /// call and kept with the matrix), which IS row-partitionable and
     /// **bit-identical** to the serial loop: both accumulate output row `j`
     /// as stored-order fused multiply-adds over ascending `i` (the serial
     /// loop visits `i` in order; the transposed row `j` stores its entries
@@ -443,7 +463,7 @@ impl Csr {
         out.expect_shape(self.cols, x.cols(), "Csr::spmm_t_into: out");
         let cost = self.nnz().saturating_mul(x.cols());
         if desalign_parallel::current_threads() > 1 && cost >= desalign_parallel::PAR_MIN_COST {
-            self.transpose().spmm_into(x, out);
+            self.transposed.get_or_init(|| Box::new(self.transpose())).spmm_into(x, out);
             return;
         }
         for i in 0..self.rows {
@@ -679,6 +699,32 @@ mod tests {
     }
 
     #[test]
+    fn parallel_spmm_t_builds_its_transpose_once_and_copies_drop_it() {
+        // nnz · d = 600 · 700 ≥ PAR_MIN_COST, so two threads take the
+        // transposed branch.
+        let n = 200;
+        let m = Csr::from_coo(n, n, (0..n).flat_map(|i| [(i, i, 0.5), (i, (i + 1) % n, -1.25), (i, (i + 7) % n, 2.0)]).collect());
+        let x = Matrix::from_vec(n, 700, (0..n * 700).map(|k| ((k * 37 % 101) as f32 - 50.0) / 16.0).collect());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let serial = desalign_parallel::with_threads(1, || m.spmm_t(&x));
+        assert!(m.transposed.get().is_none(), "the serial branch needs no transpose");
+        for _ in 0..2 {
+            assert_eq!(bits(&desalign_parallel::with_threads(2, || m.spmm_t(&x))), bits(&serial));
+            assert!(m.transposed.get().is_some());
+        }
+        // Equality ignores the cache; copies (and so mutated copies) start
+        // without one.
+        assert_eq!(m.clone(), m);
+        assert!(m.clone().transposed.get().is_none());
+        let doubled = m.scale(2.0);
+        assert!(doubled.transposed.get().is_none());
+        assert_eq!(
+            bits(&desalign_parallel::with_threads(2, || doubled.spmm_t(&x))),
+            bits(&desalign_parallel::with_threads(1, || doubled.spmm_t(&x)))
+        );
+    }
+
+    #[test]
     fn identity_spmm_is_noop() {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(Csr::identity(2).spmm(&x), x);
@@ -742,7 +788,7 @@ mod tests {
     /// but a hand-built struct can smuggle in.
     #[cfg(debug_assertions)]
     fn corrupt_csr() -> Csr {
-        Csr { rows: 2, cols: 2, indptr: vec![0, 1, 2], indices: vec![0, 5], values: vec![1.0, 1.0] }
+        Csr::from_parts(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 1.0])
     }
 
     #[test]

@@ -46,9 +46,10 @@ pub struct CawOutput {
     /// Per-modality confidence `w̃^m` (each `n × 1`, rows of the modality
     /// softmax), Eq. 13.
     pub confidence: Vec<Var>,
-    /// Raw per-entity attention matrices `β_m` (each `n × |M|`), exposed for
-    /// diagnostics and tests.
-    pub attention: Vec<Var>,
+    /// The first head's per-entity attention `β` (`n × |M|²`; columns
+    /// `m·|M|..(m+1)·|M|` are modality `m`'s weights over every modality),
+    /// exposed for diagnostics and tests.
+    pub attention: Var,
 }
 
 impl CrossModalAttention {
@@ -105,49 +106,33 @@ impl CrossModalAttention {
         let m_count = self.num_modalities;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
-        // Per-head per-modality attention outputs and β matrices.
+        // Per-head per-modality attention outputs.
         let mut head_outputs: Vec<Vec<Var>> = vec![Vec::new(); m_count];
         // received[m] accumulates Σ_heads Σ_queries β_{query, m} (n×1 each).
         let mut received: Vec<Option<Var>> = vec![None; m_count];
-        let mut betas: Vec<Var> = Vec::with_capacity(m_count);
+        let mut attention = None;
 
-        for (h_idx, head) in self.heads.iter().enumerate() {
+        for head in &self.heads {
             let wq = sess.param(head.wq);
             let wk = sess.param(head.wk);
             let wv = sess.param(head.wv);
             let qs: Vec<Var> = modalities.iter().map(|&m| sess.tape.matmul(m, wq)).collect();
             let ks: Vec<Var> = modalities.iter().map(|&m| sess.tape.matmul(m, wk)).collect();
             let vs: Vec<Var> = modalities.iter().map(|&m| sess.tape.matmul(m, wv)).collect();
-
-            for (m, &q) in qs.iter().enumerate() {
-                // Per-entity scores against every modality's key.
-                let mut score_cols = Vec::with_capacity(m_count);
-                for &k in &ks {
-                    let prod = sess.tape.mul(q, k);
-                    let s = sess.tape.row_sum(prod); // n×1
-                    score_cols.push(sess.tape.scale(s, scale));
-                }
-                let scores = sess.tape.concat_cols(&score_cols); // n×M
-                let beta = sess.tape.softmax_rows(scores);
-                if h_idx == 0 {
-                    betas.push(beta);
-                }
+            // β (n×M²): block m holds query m's weights over every key.
+            let beta = sess.tape.modal_scores(&qs, &ks, scale);
+            attention.get_or_insert(beta);
+            for (m, outputs) in head_outputs.iter_mut().enumerate() {
                 // Attention output: Σ_j β_mj ⊙ v_j.
-                let mut out: Option<Var> = None;
-                for (j, &v) in vs.iter().enumerate() {
-                    let b_j = sess.tape.slice_cols(beta, j, j + 1); // n×1
-                    let term = sess.tape.mul_broadcast_col(v, b_j);
-                    out = Some(match out {
-                        Some(acc) => sess.tape.add(acc, term),
-                        None => term,
-                    });
-                    // Accumulate attention received by modality j.
-                    received[j] = Some(match received[j] {
+                outputs.push(sess.tape.modal_mix(beta, m, &vs));
+                // Accumulate attention received by modality j.
+                for (j, r) in received.iter_mut().enumerate() {
+                    let b_j = sess.tape.slice_cols(beta, m * m_count + j, m * m_count + j + 1); // n×1
+                    *r = Some(match *r {
                         Some(acc) => sess.tape.add(acc, b_j),
                         None => b_j,
                     });
                 }
-                head_outputs[m].push(out.expect("at least one modality"));
             }
         }
 
@@ -184,7 +169,7 @@ impl CrossModalAttention {
             fused.push(sess.tape.layernorm_rows(res2, self.ln_eps));
         }
 
-        CawOutput { fused, confidence, attention: betas }
+        CawOutput { fused, confidence, attention: attention.expect("at least one head") }
     }
 }
 
@@ -237,10 +222,11 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let inputs: Vec<_> = (0..4).map(|_| sess.input(normal_matrix(&mut rng, 3, 8, 0.0, 1.0))).collect();
         let out = caw.forward(&mut sess, &inputs);
-        for &beta in &out.attention {
-            let b = sess.tape.value(beta);
-            for i in 0..b.rows() {
-                let s: f32 = b.row(i).iter().sum();
+        let b = sess.tape.value(out.attention);
+        assert_eq!(b.shape(), (3, 16));
+        for i in 0..b.rows() {
+            for block in b.row(i).chunks_exact(4) {
+                let s: f32 = block.iter().sum();
                 assert!((s - 1.0).abs() < 1e-5);
             }
         }

@@ -128,10 +128,7 @@ impl GatLayer {
             let logits = sess.tape.add(e_src, e_dst);
             let logits = sess.tape.leaky_relu(logits, self.negative_slope);
             let alpha = sess.tape.edge_softmax(logits, Rc::clone(dst)); // E×1
-            let msgs = sess.tape.gather_rows(h, Rc::clone(src)); // E×d_h
-            let weighted = sess.tape.mul_broadcast_col(msgs, alpha);
-            let agg = sess.tape.scatter_add_rows(weighted, Rc::clone(dst), n);
-            head_outputs.push(agg);
+            head_outputs.push(sess.tape.edge_aggregate(h, alpha, Rc::clone(src), Rc::clone(dst), n));
         }
         if head_outputs.len() == 1 {
             head_outputs[0]
