@@ -14,11 +14,9 @@
 //! `ci.sh` diffs the two to prove that wiring the auditor into a healthy
 //! pipeline cannot perturb training.
 //!
-//! `DESALIGN_SAMPLED=1` trains through the neighborhood-sampled block
-//! path instead of the full-graph trainer (a *different* trajectory, so a
-//! different fingerprint). `ci.sh` runs that variant at two thread counts
-//! and diffs: the sampled path must be as thread-count-independent as the
-//! full-graph one.
+//! The block-sampled training path is pinned by the
+//! `sampled_parameters_match_pinned_bits` test instead (at 1, 2 and 7
+//! threads).
 
 use desalign_bench::or_die;
 use desalign_core::{DesalignConfig, DesalignModel};
@@ -67,11 +65,6 @@ fn main() {
     cfg.feature_dims = FeatureDims { relation: 64, attribute: 64, visual: 64 };
     cfg.epochs = 2;
     cfg.batch_size = 64;
-    if std::env::var("DESALIGN_SAMPLED").as_deref() == Ok("1") {
-        cfg.sampled.enabled = true;
-        cfg.sampled.block_entities = 32;
-        cfg.sampled.halo_per_node = 4;
-    }
     let mut model = DesalignModel::new(cfg, &ds, 31);
     model.fit(&ds);
     let sim = model.similarity_with_iterations(2);

@@ -241,6 +241,7 @@ impl DesalignModel {
 
         desalign_telemetry::counter("train.resumes").incr();
         Ok(TrainState {
+            blocks: self.training_blocks(dataset, &pool),
             pool,
             val_pairs,
             opt,

@@ -167,7 +167,7 @@ impl RetrievalSettings {
 /// path (and every fingerprint gated on it) is untouched.
 #[derive(Clone, Copy, Debug)]
 pub struct SampledTrainingSettings {
-    /// Route training through the block-sampled mini-batch loop.
+    /// Train in neighborhood-sampled blocks (see `crate::trainer`).
     pub enabled: bool,
     /// Source entities per block (mirrors `shard_entities`; must be ≥ 1
     /// when enabled).

@@ -7,6 +7,7 @@
 
 use crate::config::{DesalignConfig, StructureEncoderKind};
 use desalign_autodiff::Var;
+use desalign_graph::{Csr, SampledSubgraph, UndirectedGraph};
 use desalign_mmkg::{fill_missing_with_noise, AlignmentDataset, ModalFeatures};
 use desalign_nn::{CrossModalAttention, GatEncoder, Linear, ParamId, ParamStore, Session};
 use desalign_tensor::{uniform_matrix, Matrix, Rng64};
@@ -40,14 +41,17 @@ impl Modality {
     }
 }
 
-/// Per-side fixed inputs prepared once before training.
+/// Per-side fixed inputs prepared once before training: the whole graph,
+/// or one sampled subgraph of it ([`GraphInputs::for_subgraph`]).
 pub struct GraphInputs {
     /// Message edges (both orientations + self-loops).
     pub src: Rc<Vec<usize>>,
     /// Message edge destinations.
     pub dst: Rc<Vec<usize>>,
     /// Symmetrically normalized adjacency (GCN branch and SP operator).
-    pub adj_norm: Rc<desalign_graph::Csr>,
+    pub adj_norm: Rc<Csr>,
+    /// Graph Laplacian `Δ = I − Ã` (the Dirichlet-energy constraint).
+    pub laplacian: Rc<Csr>,
     /// Raw relation BoW with missing rows noise-filled.
     pub relation: Matrix,
     /// Raw attribute BoW with missing rows noise-filled.
@@ -56,8 +60,10 @@ pub struct GraphInputs {
     pub visual: Matrix,
     /// Modality presence masks (pre-fill), used by Semantic Propagation.
     pub features: ModalFeatures,
-    /// Number of entities on this side.
+    /// Number of entities (rows) on this side.
     pub n: usize,
+    /// Global entity id of each local row; `None` for the whole graph.
+    pub rows: Option<Rc<Vec<usize>>>,
 }
 
 impl GraphInputs {
@@ -68,10 +74,60 @@ impl GraphInputs {
         let relation = fill_missing_with_noise(&features.relation, &features.has_relation, rng);
         let attribute = fill_missing_with_noise(&features.attribute, &features.has_attribute, rng);
         let visual = fill_missing_with_noise(&features.visual, &features.has_visual, rng);
-        let graph = kg.graph();
+        Self::with_graph(&kg.graph(), relation, attribute, visual, features, None)
+    }
+
+    /// Inputs of a sampled subgraph of this (whole-graph) side: local row
+    /// `i` is entity `sub.nodes[i]`. Structure, adjacency and Laplacian
+    /// come from the subgraph's own edges; feature rows and presence masks
+    /// are gathered from `self`.
+    ///
+    /// # Panics
+    /// Panics if `self` is itself a subgraph.
+    pub fn for_subgraph(&self, sub: &SampledSubgraph) -> Self {
+        assert!(self.rows.is_none(), "GraphInputs::for_subgraph: inputs are already a subgraph");
+        let gather = |m: &Matrix| Matrix::from_fn(sub.num_nodes(), m.cols(), |i, j| m[(sub.nodes[i], j)]);
+        let gather_mask = |has: &[bool]| sub.nodes.iter().map(|&g| has[g]).collect();
+        let f = &self.features;
+        let features = ModalFeatures {
+            relation: gather(&f.relation),
+            attribute: gather(&f.attribute),
+            visual: gather(&f.visual),
+            has_relation: gather_mask(&f.has_relation),
+            has_attribute: gather_mask(&f.has_attribute),
+            has_visual: gather_mask(&f.has_visual),
+        };
+        Self::with_graph(
+            &UndirectedGraph::new(sub.num_nodes(), sub.edges.iter().copied()),
+            gather(&self.relation),
+            gather(&self.attribute),
+            gather(&self.visual),
+            features,
+            Some(Rc::new(sub.nodes.clone())),
+        )
+    }
+
+    fn with_graph(
+        graph: &UndirectedGraph,
+        relation: Matrix,
+        attribute: Matrix,
+        visual: Matrix,
+        features: ModalFeatures,
+        rows: Option<Rc<Vec<usize>>>,
+    ) -> Self {
         let (src, dst) = graph.message_edges();
-        let adj_norm = Rc::new(graph.normalized_adjacency(true));
-        Self { src: Rc::new(src), dst: Rc::new(dst), adj_norm, relation, attribute, visual, features, n: kg.num_entities }
+        Self {
+            src: Rc::new(src),
+            dst: Rc::new(dst),
+            adj_norm: Rc::new(graph.normalized_adjacency(true)),
+            laplacian: Rc::new(graph.laplacian()),
+            relation,
+            attribute,
+            visual,
+            features,
+            n: graph.num_nodes(),
+            rows,
+        }
     }
 }
 
@@ -202,7 +258,10 @@ impl MultiModalEncoder {
         ]
     }
 
-    /// Encodes one side (`side` 0 = source, 1 = target).
+    /// Encodes one side (`side` 0 = source, 1 = target), or a subgraph of
+    /// it: for subgraph inputs the structure embeddings `x^g` are
+    /// row-gathered differentiably, so gradients reach exactly the sampled
+    /// rows and tape memory is `O(|sub| × d)`.
     pub fn forward(&self, sess: &mut Session<'_>, inputs: &GraphInputs, side: usize) -> EncodedGraph {
         assert!(side < 2, "MultiModalEncoder::forward: side must be 0 or 1");
         // Branch embeddings h^m (Eq. 7–8).
@@ -210,7 +269,10 @@ impl MultiModalEncoder {
         for &m in &self.modalities {
             let h = match m {
                 Modality::Structure => {
-                    let xg = sess.param(self.x_g[side]);
+                    let mut xg = sess.param(self.x_g[side]);
+                    if let Some(rows) = &inputs.rows {
+                        xg = sess.tape.gather_rows(xg, Rc::clone(rows));
+                    }
                     match &self.structure {
                         StructureBranch::Gat(gat) => gat.forward(sess, xg, &inputs.src, &inputs.dst),
                         StructureBranch::Gcn { w1, w2 } => {
@@ -253,122 +315,13 @@ impl MultiModalEncoder {
             }
         }
 
-        let (h_ori, h_fus_layers) =
-            self.fuse_outputs(sess, &modal, &fused_layers, &confidence, inputs.n, &inputs.features, None);
+        let (h_ori, h_fus_layers) = self.fuse_outputs(sess, &modal, &fused_layers, &confidence, inputs);
 
         EncodedGraph { modalities: self.modalities.clone(), modal, fused_layers, confidence, h_ori, h_fus_layers }
     }
 
-    /// Encodes a sampled neighborhood of one side: the same shared weights
-    /// as [`forward`](Self::forward), applied to the `sub.nodes` rows only.
-    ///
-    /// - Structure embeddings are row-gathered **differentiably** from
-    ///   `x^g`, so gradients flow back to exactly the sampled rows;
-    /// - the GAT/GCN runs on the subgraph's local message edges (both
-    ///   orientations + self-loops, mirroring
-    ///   [`UndirectedGraph::message_edges`](desalign_graph::UndirectedGraph::message_edges));
-    /// - FC branch inputs and presence masks are host-gathered per node.
-    ///
-    /// Peak tape memory is `O(|sub| × d)` instead of `O(n × d)` — this is
-    /// what makes out-of-core training (`docs/DATA_FORMAT.md`) fit in a
-    /// bounded footprint.
-    pub fn forward_sampled(
-        &self,
-        sess: &mut Session<'_>,
-        inputs: &GraphInputs,
-        side: usize,
-        sub: &desalign_graph::SampledSubgraph,
-    ) -> EncodedGraph {
-        assert!(side < 2, "MultiModalEncoder::forward_sampled: side must be 0 or 1");
-        let n_sub = sub.num_nodes();
-        let idx = Rc::new(sub.nodes.clone());
-        // Local message edges, ordered exactly like
-        // `UndirectedGraph::message_edges`: both orientations per edge,
-        // then self-loops at the tail.
-        let mut src = Vec::with_capacity(sub.edges.len() * 2 + n_sub);
-        let mut dst = Vec::with_capacity(sub.edges.len() * 2 + n_sub);
-        for &(u, v) in &sub.edges {
-            src.push(u);
-            dst.push(v);
-            src.push(v);
-            dst.push(u);
-        }
-        for i in 0..n_sub {
-            src.push(i);
-            dst.push(i);
-        }
-        let (src, dst) = (Rc::new(src), Rc::new(dst));
-        let gather_host = |m: &Matrix| -> Matrix {
-            let cols = m.cols();
-            let mut data = Vec::with_capacity(n_sub * cols);
-            for &g in idx.iter() {
-                data.extend_from_slice(m.row(g));
-            }
-            Matrix::from_vec(n_sub, cols, data)
-        };
-
-        let mut modal = Vec::with_capacity(self.modalities.len());
-        for &m in &self.modalities {
-            let h = match m {
-                Modality::Structure => {
-                    let xg = sess.param(self.x_g[side]);
-                    let xg = sess.tape.gather_rows(xg, Rc::clone(&idx));
-                    match &self.structure {
-                        StructureBranch::Gat(gat) => gat.forward(sess, xg, &src, &dst),
-                        StructureBranch::Gcn { w1, w2 } => {
-                            let adj = Rc::new(
-                                desalign_graph::UndirectedGraph::new(n_sub, sub.edges.iter().copied())
-                                    .normalized_adjacency(true),
-                            );
-                            let w1 = sess.param(*w1);
-                            let w2 = sess.param(*w2);
-                            let h = sess.tape.matmul(xg, w1);
-                            let h = sess.tape.spmm(Rc::clone(&adj), h);
-                            let h = sess.tape.relu(h);
-                            let h = sess.tape.matmul(h, w2);
-                            sess.tape.spmm(adj, h)
-                        }
-                    }
-                }
-                Modality::Relation => {
-                    let x = sess.input(gather_host(&inputs.relation));
-                    self.fc_r.forward(sess, x)
-                }
-                Modality::Text => {
-                    let x = sess.input(gather_host(&inputs.attribute));
-                    self.fc_t.forward(sess, x)
-                }
-                Modality::Visual => {
-                    let x = sess.input(gather_host(&inputs.visual));
-                    self.fc_v.forward(sess, x)
-                }
-            };
-            modal.push(h);
-        }
-
-        // Stacked CAW blocks — identical to the full-graph pass.
-        let mut fused_layers = Vec::with_capacity(self.caw.len());
-        let mut confidence = Vec::new();
-        let mut current = modal.clone();
-        for (l, block) in self.caw.iter().enumerate() {
-            let out = block.forward(sess, &current);
-            current = out.fused.clone();
-            fused_layers.push(out.fused);
-            if l + 1 == self.caw.len() {
-                confidence = out.confidence;
-            }
-        }
-
-        let (h_ori, h_fus_layers) =
-            self.fuse_outputs(sess, &modal, &fused_layers, &confidence, n_sub, &inputs.features, Some(&sub.nodes));
-
-        EncodedGraph { modalities: self.modalities.clone(), modal, fused_layers, confidence, h_ori, h_fus_layers }
-    }
-
-    /// The fusion tail shared by the full-graph and sampled passes: builds
-    /// the joint embeddings `h^Ori` and `X^(1..k)` from the branch and CAW
-    /// outputs. `rows` selects which global entities the `n` local rows
-    /// correspond to (`None` = identity, the full graph).
+    /// The fusion tail: builds the joint embeddings `h^Ori` and
+    /// `X^(1..k)` from the branch and CAW outputs.
     ///
     /// Joint embeddings (Eq. 14): ℓ2-normalize each modality block (so no
     /// branch dominates the concatenation by norm alone — the standard
@@ -382,16 +335,13 @@ impl MultiModalEncoder {
     /// where `b^m` is the blended confidence weight (or 1/|M| uniform).
     /// The uniform path is rescaled by |M| so a fully-present entity
     /// keeps weight 1 per block, matching the unmasked concatenation.
-    #[allow(clippy::too_many_arguments)]
     fn fuse_outputs(
         &self,
         sess: &mut Session<'_>,
         modal: &[Var],
         fused_layers: &[Vec<Var>],
         confidence: &[Var],
-        n: usize,
-        features: &ModalFeatures,
-        rows: Option<&[usize]>,
+        inputs: &GraphInputs,
     ) -> (Var, Vec<Var>) {
         let normalize = self.fusion_normalize;
         let alpha = self.confidence_blend;
@@ -401,15 +351,11 @@ impl MultiModalEncoder {
                 self.modalities
                     .iter()
                     .map(|m| {
-                        let to_bits = |has: &[bool]| -> Vec<f32> {
-                            match rows {
-                                None => has.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect(),
-                                Some(r) => r.iter().map(|&g| if has[g] { 1.0 } else { 0.0 }).collect(),
-                            }
-                        };
+                        let to_bits = |has: &[bool]| -> Vec<f32> { has.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect() };
+                        let features = &inputs.features;
                         let bits: Vec<f32> = match m {
                             // Structure embeddings are learnable — never absent.
-                            Modality::Structure => vec![1.0; n],
+                            Modality::Structure => vec![1.0; inputs.n],
                             Modality::Relation => to_bits(&features.has_relation),
                             Modality::Text => to_bits(&features.has_attribute),
                             Modality::Visual => to_bits(&features.has_visual),

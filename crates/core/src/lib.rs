@@ -30,14 +30,12 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod decode;
 pub mod encoder;
 pub mod energy;
 pub mod iterative;
 pub mod loss;
 pub mod model;
 pub mod propagate;
-pub mod sampled;
 pub mod train;
 pub mod trainer;
 
@@ -46,7 +44,6 @@ pub use config::{
     Ablation, DesalignConfig, RetrievalBackend, RetrievalSettings, SampledTrainingSettings, StructureEncoderKind,
     WatchdogConfig,
 };
-pub use decode::gradient_flow_decode;
 pub use encoder::{EncodedGraph, MultiModalEncoder, Modality};
 pub use energy::{EnergyDiagnostics, EnergyTrace};
 pub use iterative::{iterative_fit, IterativeConfig, IterativeReport};

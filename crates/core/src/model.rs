@@ -13,11 +13,10 @@ use crate::propagate::{
 };
 use crate::trainer::ChaosPlan;
 use desalign_eval::{AlignmentMetrics, SimilarityMatrix};
-use desalign_graph::{singular_value_range, Csr};
+use desalign_graph::singular_value_range;
 use desalign_mmkg::AlignmentDataset;
 use desalign_nn::{ParamStore, Session};
 use desalign_tensor::{rng_from_seed, Matrix, Rng64};
-use std::rc::Rc;
 
 /// A trained (or trainable) DESAlign model bound to one dataset's shape.
 pub struct DesalignModel {
@@ -25,8 +24,6 @@ pub struct DesalignModel {
     pub(crate) store: ParamStore,
     pub(crate) encoder: MultiModalEncoder,
     pub(crate) inputs: [GraphInputs; 2],
-    pub(crate) laplacians: [Rc<Csr>; 2],
-    pub(crate) adj_norm: [Rc<Csr>; 2],
     pub(crate) known: [Vec<bool>; 2],
     pub(crate) rng: Rng64,
     /// The construction seed, recorded for checkpoint provenance.
@@ -95,18 +92,12 @@ impl DesalignModel {
         let encoder = MultiModalEncoder::new(&mut store, &mut rng, &cfg, dataset);
         let in_s = GraphInputs::prepare(&dataset.source, &cfg, &mut rng);
         let in_t = GraphInputs::prepare(&dataset.target, &cfg, &mut rng);
-        let g_s = dataset.source.graph();
-        let g_t = dataset.target.graph();
-        let laplacians = [Rc::new(g_s.laplacian()), Rc::new(g_t.laplacian())];
-        let adj_norm = [Rc::new(g_s.normalized_adjacency(true)), Rc::new(g_t.normalized_adjacency(true))];
         let known = [consistency_mask(&in_s.features), consistency_mask(&in_t.features)];
         Self {
             cfg,
             store,
             encoder,
             inputs: [in_s, in_t],
-            laplacians,
-            adj_norm,
             known,
             rng,
             seed,
@@ -160,8 +151,8 @@ impl DesalignModel {
             per_modality_propagation_similarity(
                 &x_s,
                 &x_t,
-                &self.adj_norm[0],
-                &self.adj_norm[1],
+                &self.inputs[0].adj_norm,
+                &self.inputs[1].adj_norm,
                 &self.modality_masks(0),
                 &self.modality_masks(1),
                 &blocks,
@@ -171,8 +162,8 @@ impl DesalignModel {
             semantic_propagation_similarity(
                 &x_s,
                 &x_t,
-                &self.adj_norm[0],
-                &self.adj_norm[1],
+                &self.inputs[0].adj_norm,
+                &self.inputs[1].adj_norm,
                 &self.known[0],
                 &self.known[1],
                 iterations,
@@ -270,8 +261,8 @@ impl DesalignModel {
             per_modality_propagation_states(
                 &x_s,
                 &x_t,
-                &self.adj_norm[0],
-                &self.adj_norm[1],
+                &self.inputs[0].adj_norm,
+                &self.inputs[1].adj_norm,
                 &self.modality_masks(0),
                 &self.modality_masks(1),
                 &blocks,
@@ -281,8 +272,8 @@ impl DesalignModel {
             semantic_propagation_states(
                 &x_s,
                 &x_t,
-                &self.adj_norm[0],
-                &self.adj_norm[1],
+                &self.inputs[0].adj_norm,
+                &self.inputs[1].adj_norm,
                 &self.known[0],
                 &self.known[1],
                 iterations,

@@ -7,7 +7,8 @@
 //!    the training pool (gold + pseudo pairs) and a fresh optimizer, and
 //!    returns the [`TrainState`] that owns every piece of loop state;
 //! 2. [`DesalignModel::train_epochs`] — runs up to `n` epochs, advancing
-//!    `TrainState` in place;
+//!    `TrainState` in place. Each epoch takes one optimizer step per
+//!    training *block* (see below);
 //! 3. [`DesalignModel::end_training`] — restores the best early-stop
 //!    snapshot and finalizes the [`TrainReport`].
 //!
@@ -18,24 +19,56 @@
 //! later continues the *bit-identical* trajectory — the contract
 //! `docs/RELIABILITY.md` documents and `ci.sh` enforces.
 //!
+//! # Blocks
+//!
+//! Full-graph training is one block: the model's own whole-graph inputs
+//! and the whole pool, so an epoch is one sampled batch and one step.
+//! Neighborhood-sampled training
+//! ([`SampledTrainingSettings`](crate::config::SampledTrainingSettings))
+//! bounds tape memory instead: the source entities are cut into
+//! contiguous ranges of `block_entities` — the blocking the shard format
+//! uses (`docs/DATA_FORMAT.md`) — and each range with seed pairs becomes
+//! one block:
+//!
+//! 1. source core = the range; target core = the targets of its pairs;
+//! 2. each core is extended with a bounded halo of sampled out-of-block
+//!    neighbors ([`desalign_graph::sample_neighborhood`], seeded from the
+//!    model seed and the block index), so the GAT sees real
+//!    message-passing context at the block boundary;
+//! 3. the block encodes [`GraphInputs::for_subgraph`] inputs with the
+//!    shared weights, and the MMSL loss — the Dirichlet-energy constraint
+//!    included, on the subgraph Laplacians — uses block-local indices.
+//!
+//! Both kinds run through the same loop body, so sampled runs get the
+//! watchdog, checkpoint/resume, early stopping and per-epoch telemetry
+//! too. Every block draws its batch from its own pool with `batch_size`;
+//! a pool that fits in one batch is used whole and draws no randomness,
+//! so a watchdog rollback replays such a block unchanged. An epoch reports the mean loss breakdown, energy trace and
+//! gradient norm over its blocks (a one-block epoch reports its block's
+//! values unchanged). Blocks are built when training begins or resumes;
+//! [`DesalignModel::inject_modality_dropout`] reaches sampled blocks only
+//! from the next begin or resume.
+//!
 //! # The watchdog
 //!
 //! When [`WatchdogConfig::enabled`](crate::config::WatchdogConfig), every
-//! epoch is vetted after the backward pass and *before* the optimizer
-//! step: a non-finite gradient norm, a non-finite loss, a non-finite
-//! sampled Dirichlet energy, or a loss spike beyond `spike_factor ×` the
-//! last good loss rejects the update, rolls model + state back to the
-//! last good in-memory snapshot, and perturbs the sampling stream
-//! deterministically so the same pathological batch is not redrawn. Each
-//! trip increments the `train.rollbacks` counter and the cumulative
-//! `rollbacks` field of subsequent epoch records; after
-//! `max_rollbacks` trips the run stops on the last good state.
+//! block step is vetted after the backward pass and *before* the
+//! optimizer step: a non-finite gradient norm, a non-finite loss, a
+//! non-finite sampled Dirichlet energy, or a loss spike beyond
+//! `spike_factor ×` the last good epoch loss rejects the update, rolls
+//! model + state back to the last good in-memory snapshot (taken at an
+//! epoch boundary), and perturbs the sampling stream deterministically so
+//! the same pathological batch is not redrawn. Each trip increments the
+//! `train.rollbacks` counter and the cumulative `rollbacks` field of
+//! subsequent epoch records; after `max_rollbacks` trips the run stops on
+//! the last good state.
 
+use crate::encoder::{EncodedGraph, GraphInputs};
 use crate::energy::EnergyTrace;
-use crate::loss::mmsl_loss;
+use crate::loss::{mmsl_loss, LossBreakdown};
 use crate::model::DesalignModel;
 use crate::train::{sample_batch, train_val_split, TrainReport};
-use desalign_graph::dirichlet_energy;
+use desalign_graph::{dirichlet_energy, sample_neighborhood};
 use desalign_mmkg::AlignmentDataset;
 use desalign_nn::{AdamW, CosineWarmup, Session};
 use desalign_tensor::{rng_from_seed, Matrix, Rng64, SliceRandom};
@@ -73,6 +106,58 @@ pub(crate) struct GoodState {
     last_loss: f32,
 }
 
+/// One optimizer step of an epoch: the graphs it encodes and the pairs
+/// its batch is drawn from (see the [module docs](self)).
+pub(crate) struct Block {
+    /// Per-side subgraph inputs; `None` encodes the model's own
+    /// whole-graph inputs, with no gather and no copy.
+    graphs: Option<[GraphInputs; 2]>,
+    /// Training pairs in the block's local row indices.
+    pool: Vec<(usize, usize)>,
+}
+
+/// What one block step reports to its epoch.
+#[derive(Clone, Copy)]
+struct BlockStep {
+    breakdown: LossBreakdown,
+    trace: Option<EnergyTrace>,
+    grad_norm: Option<f32>,
+}
+
+impl BlockStep {
+    /// Fused (post-SA) energy of both graphs — the quantity Figure 3
+    /// tracks and the watchdog vets.
+    fn energy(&self) -> Option<f64> {
+        self.trace.map(|t| (t.source[2] + t.target[2]) as f64)
+    }
+
+    /// The per-block mean of an epoch's steps; one step is returned bit
+    /// for bit.
+    fn mean(steps: &[BlockStep]) -> BlockStep {
+        if let [only] = steps {
+            return *only;
+        }
+        let nb = steps.len() as f32;
+        let mean = |f: &dyn Fn(&BlockStep) -> f32| steps.iter().map(f).sum::<f32>() / nb;
+        let b = |f: fn(&LossBreakdown) -> f32| mean(&|s: &BlockStep| f(&s.breakdown));
+        let side = |f: fn(&EnergyTrace) -> [f32; 3]| -> [f32; 3] {
+            std::array::from_fn(|i| mean(&|s: &BlockStep| s.trace.map_or(f32::NAN, |t| f(&t)[i])))
+        };
+        BlockStep {
+            breakdown: LossBreakdown {
+                total: b(|l| l.total),
+                task0: b(|l| l.task0),
+                taskk: b(|l| l.taskk),
+                modal_k1: b(|l| l.modal_k1),
+                modal_k: b(|l| l.modal_k),
+                energy_penalty: b(|l| l.energy_penalty),
+            },
+            trace: steps[0].trace.map(|t| EnergyTrace { epoch: t.epoch, source: side(|t| t.source), target: side(|t| t.target) }),
+            grad_norm: steps[0].grad_norm.map(|_| mean(&|s: &BlockStep| s.grad_norm.unwrap_or(f32::NAN))),
+        }
+    }
+}
+
 /// All mutable state of one training run, between epochs.
 ///
 /// Produced by [`DesalignModel::begin_training`] (or a checkpoint
@@ -84,6 +169,9 @@ pub(crate) struct GoodState {
 pub struct TrainState {
     /// Training pool: gold seed pairs (post split) + pseudo pairs.
     pub(crate) pool: Vec<(usize, usize)>,
+    /// The blocks every epoch steps through, rebuilt from `pool` on
+    /// begin and resume (never checkpointed).
+    pub(crate) blocks: Vec<Block>,
     /// Held-out validation pairs for early stopping.
     pub(crate) val_pairs: Vec<(usize, usize)>,
     pub(crate) opt: AdamW,
@@ -127,21 +215,17 @@ impl DesalignModel {
     /// `fit` again continues training (used by the iterative strategy).
     ///
     /// Equivalent to `begin_training` → `train_epochs(all)` →
-    /// `end_training`; see the [module docs](self) for the split. With
-    /// `cfg.sampled.enabled`, dispatches to the out-of-core
-    /// [`DesalignModel::fit_sampled`] loop instead.
+    /// `end_training`; see the [module docs](self) for the split and for
+    /// neighborhood-sampled blocks.
     pub fn fit(&mut self, dataset: &AlignmentDataset) -> TrainReport {
-        if self.cfg.sampled.enabled {
-            return self.fit_sampled(dataset);
-        }
         let mut state = self.begin_training(dataset);
         self.train_epochs(&mut state, usize::MAX);
         self.end_training(state)
     }
 
-    /// Phase 1: split seeds, build the pool and optimizer, return the
-    /// loop state. Consumes the model RNG exactly like the start of the
-    /// original monolithic `fit`.
+    /// Phase 1: split seeds, build the pool, its blocks and the
+    /// optimizer, return the loop state. Consumes the model RNG exactly
+    /// like the start of the original monolithic `fit`.
     pub fn begin_training(&mut self, dataset: &AlignmentDataset) -> TrainState {
         // Register the reliability counters up front so metric reports
         // list them even for runs that never resume or roll back.
@@ -152,6 +236,7 @@ impl DesalignModel {
         let mut pool = train_pairs;
         pool.extend(self.pseudo_pairs.iter().copied());
         TrainState {
+            blocks: self.training_blocks(dataset, &pool),
             pool,
             val_pairs,
             opt: AdamW::new(self.cfg.weight_decay),
@@ -167,6 +252,48 @@ impl DesalignModel {
         }
     }
 
+    /// The blocks one epoch steps through (see the [module docs](self)):
+    /// the whole graph, or one neighborhood-sampled block per
+    /// source-entity range that holds pool pairs.
+    pub(crate) fn training_blocks(&self, dataset: &AlignmentDataset, pool: &[(usize, usize)]) -> Vec<Block> {
+        let s = self.cfg.sampled;
+        if !s.enabled {
+            return vec![Block { graphs: None, pool: pool.to_vec() }];
+        }
+        let (g_s, g_t) = (dataset.source.graph(), dataset.target.graph());
+        let n_s = dataset.source.num_entities;
+        let size = s.block_entities.max(1);
+        let mut blocks = Vec::new();
+        for k in 0..n_s.div_ceil(size) {
+            let (lo, hi) = (k * size, ((k + 1) * size).min(n_s));
+            let pairs: Vec<(usize, usize)> = pool.iter().copied().filter(|&(sg, _)| (lo..hi).contains(&sg)).collect();
+            if pairs.is_empty() {
+                continue; // a block with no pairs contributes no loss
+            }
+            let src_core: Vec<usize> = (lo..hi).collect();
+            let mut tgt_core: Vec<usize> = pairs.iter().map(|&(_, tg)| tg).collect();
+            tgt_core.sort_unstable();
+            tgt_core.dedup();
+            // Per-block, per-side seeds: every block draws an independent
+            // but reproducible halo.
+            let seed = self.seed ^ ((k as u64) << 1);
+            let sub_s = sample_neighborhood(&g_s, &src_core, s.halo_per_node, seed);
+            let sub_t = sample_neighborhood(&g_t, &tgt_core, s.halo_per_node, seed ^ 1);
+            // Source cores are the ascending range, so local = global − lo;
+            // target cores are sorted, so local = rank in the core.
+            let pool = pairs
+                .iter()
+                .map(|&(sg, tg)| (sg - lo, tgt_core.binary_search(&tg).expect("pair target is in the core")))
+                .collect();
+            let graphs = [self.inputs[0].for_subgraph(&sub_s), self.inputs[1].for_subgraph(&sub_t)];
+            blocks.push(Block { graphs: Some(graphs), pool });
+        }
+        if desalign_telemetry::enabled() {
+            desalign_telemetry::counter("sampled.blocks").add(blocks.len() as u64);
+        }
+        blocks
+    }
+
     /// Phase 2: runs up to `max_epochs` further epochs (bounded by the
     /// configured total), returning how many were completed. Stops early
     /// on patience exhaustion or watchdog give-up.
@@ -175,9 +302,10 @@ impl DesalignModel {
         let t0 = Instant::now();
         let schedule = CosineWarmup::new(self.cfg.lr, self.cfg.epochs, self.cfg.warmup_frac);
         let wd = self.cfg.watchdog;
-        if state.pool.is_empty() {
+        if state.pool.is_empty() || state.blocks.is_empty() {
             state.stopped = true;
         }
+        let blocks = std::mem::take(&mut state.blocks);
         let mut ran = 0usize;
         while ran < max_epochs && state.next_epoch < self.cfg.epochs && !state.stopped {
             let epoch = state.next_epoch;
@@ -185,88 +313,90 @@ impl DesalignModel {
                 self.capture_good(state);
             }
             let _epoch_span = desalign_telemetry::span("epoch");
-            let batch = {
-                let _span = desalign_telemetry::span("sample");
-                sample_batch(&state.pool, self.cfg.batch_size, &mut self.rng)
-            };
-            let mut sess = Session::with_workspace(&self.store, Rc::clone(&self.ws));
-            let (enc_s, enc_t, loss, breakdown) = {
-                let _span = desalign_telemetry::span("forward");
-                let enc_s = self.encoder.forward(&mut sess, &self.inputs[0], 0);
-                let enc_t = self.encoder.forward(&mut sess, &self.inputs[1], 1);
-                let (loss, breakdown) =
-                    mmsl_loss(&mut sess, &self.cfg, &enc_s, &enc_t, &batch, (&self.laplacians[0], &self.laplacians[1]));
-                (enc_s, enc_t, loss, breakdown)
-            };
-
             // Energy trace sampling (Section III instrumentation).
-            let mut epoch_energy: Option<f64> = None;
-            if self.cfg.eval_every > 0 && epoch % self.cfg.eval_every == 0 {
-                let _span = desalign_telemetry::span("energy");
-                let trace = EnergyTrace {
-                    epoch,
-                    source: [
-                        dirichlet_energy(&self.laplacians[0], sess.tape.value(enc_s.h_ori)),
-                        dirichlet_energy(&self.laplacians[0], sess.tape.value(enc_s.h_fus_prev())),
-                        dirichlet_energy(&self.laplacians[0], sess.tape.value(enc_s.h_fus())),
-                    ],
-                    target: [
-                        dirichlet_energy(&self.laplacians[1], sess.tape.value(enc_t.h_ori)),
-                        dirichlet_energy(&self.laplacians[1], sess.tape.value(enc_t.h_fus_prev())),
-                        dirichlet_energy(&self.laplacians[1], sess.tape.value(enc_t.h_fus())),
-                    ],
+            let trace_epoch = self.cfg.eval_every > 0 && epoch % self.cfg.eval_every == 0;
+            let mut steps = Vec::with_capacity(blocks.len());
+            let mut tripped = false;
+            for block in &blocks {
+                let inputs = block.graphs.as_ref().unwrap_or(&self.inputs);
+                let batch = {
+                    let _span = desalign_telemetry::span("sample");
+                    sample_batch(&block.pool, self.cfg.batch_size, &mut self.rng)
                 };
-                // Fused (post-SA) energies of both graphs — the quantity
-                // Figure 3 tracks.
-                epoch_energy = Some((trace.source[2] + trace.target[2]) as f64);
+                let mut sess = Session::with_workspace(&self.store, Rc::clone(&self.ws));
+                let (enc_s, enc_t, loss, breakdown) = {
+                    let _span = desalign_telemetry::span("forward");
+                    let enc_s = self.encoder.forward(&mut sess, &inputs[0], 0);
+                    let enc_t = self.encoder.forward(&mut sess, &inputs[1], 1);
+                    let (loss, breakdown) =
+                        mmsl_loss(&mut sess, &self.cfg, &enc_s, &enc_t, &batch, (&inputs[0].laplacian, &inputs[1].laplacian));
+                    (enc_s, enc_t, loss, breakdown)
+                };
+                let trace = trace_epoch.then(|| {
+                    let _span = desalign_telemetry::span("energy");
+                    let energies = |side: &GraphInputs, enc: &EncodedGraph| {
+                        [enc.h_ori, enc.h_fus_prev(), enc.h_fus()].map(|h| dirichlet_energy(&side.laplacian, sess.tape.value(h)))
+                    };
+                    EnergyTrace { epoch, source: energies(&inputs[0], &enc_s), target: energies(&inputs[1], &enc_t) }
+                });
+
+                let mut grads = {
+                    let _span = desalign_telemetry::span("backward");
+                    sess.backward(loss)
+                };
+                // Injected fault: poison the gradients exactly once per
+                // scheduled epoch.
+                if let Some(chaos) = self.chaos.as_mut() {
+                    if let Some(pos) = chaos.nan_grad_epochs.iter().position(|&e| e == epoch) {
+                        chaos.nan_grad_epochs.remove(pos);
+                        grads.scale_all(f32::NAN);
+                    }
+                }
+                // Read-only diagnostic; skipped entirely when neither
+                // telemetry nor the watchdog needs it, so that path does no
+                // extra float work.
+                let grad_norm = if desalign_telemetry::enabled() || wd.enabled {
+                    Some(grads.global_norm())
+                } else {
+                    None
+                };
+                let step = BlockStep { breakdown, trace, grad_norm };
+
+                // Watchdog verdict: after backward, before the optimizer step
+                // — the weights are still clean when an update is rejected.
+                if wd.enabled {
+                    let last_good = state.good.as_ref().map_or(f32::INFINITY, |g| g.last_loss);
+                    let spike = breakdown.total.is_finite()
+                        && last_good.is_finite()
+                        && breakdown.total > wd.spike_factor * last_good.max(1e-6);
+                    tripped = !breakdown.total.is_finite()
+                        || grad_norm.is_some_and(|g| !g.is_finite())
+                        || step.energy().is_some_and(|e| !e.is_finite())
+                        || spike;
+                    if tripped {
+                        break;
+                    }
+                }
+
+                {
+                    let _span = desalign_telemetry::span("optimizer");
+                    state.opt.step(&mut self.store, &mut grads, schedule.lr(epoch));
+                }
+                steps.push(step);
+            }
+            if tripped {
+                self.rollback(state);
+                if state.rollbacks > wd.max_rollbacks as u64 {
+                    state.stopped = true;
+                }
+                continue;
+            }
+
+            let epoch_step = BlockStep::mean(&steps);
+            let breakdown = epoch_step.breakdown;
+            if let Some(trace) = epoch_step.trace {
                 self.energy_traces.push(trace);
                 state.report.energy_history.push(trace);
-            }
-
-            let mut grads = {
-                let _span = desalign_telemetry::span("backward");
-                sess.backward(loss)
-            };
-            // Injected fault: poison the gradients exactly once per
-            // scheduled epoch.
-            if let Some(chaos) = self.chaos.as_mut() {
-                if let Some(pos) = chaos.nan_grad_epochs.iter().position(|&e| e == epoch) {
-                    chaos.nan_grad_epochs.remove(pos);
-                    grads.scale_all(f32::NAN);
-                }
-            }
-            // Read-only diagnostic; skipped entirely when neither
-            // telemetry nor the watchdog needs it, so that path does no
-            // extra float work.
-            let grad_norm = if desalign_telemetry::enabled() || wd.enabled {
-                Some(grads.global_norm())
-            } else {
-                None
-            };
-
-            // Watchdog verdict: after backward, before the optimizer step
-            // — the weights are still clean when an update is rejected.
-            if wd.enabled {
-                let last_good = state.good.as_ref().map_or(f32::INFINITY, |g| g.last_loss);
-                let spike = breakdown.total.is_finite()
-                    && last_good.is_finite()
-                    && breakdown.total > wd.spike_factor * last_good.max(1e-6);
-                let tripped = !breakdown.total.is_finite()
-                    || grad_norm.is_some_and(|g| !g.is_finite())
-                    || epoch_energy.is_some_and(|e| !e.is_finite())
-                    || spike;
-                if tripped {
-                    self.rollback(state);
-                    if state.rollbacks > wd.max_rollbacks as u64 {
-                        state.stopped = true;
-                    }
-                    continue;
-                }
-            }
-
-            {
-                let _span = desalign_telemetry::span("optimizer");
-                state.opt.step(&mut self.store, &mut grads, schedule.lr(epoch));
             }
             state.report.loss_history.push(breakdown);
             state.report.epochs_run = epoch + 1;
@@ -302,9 +432,9 @@ impl DesalignModel {
                     loss_modal_k1: breakdown.modal_k1,
                     loss_modal_k: breakdown.modal_k,
                     energy_penalty: breakdown.energy_penalty,
-                    dirichlet_energy: epoch_energy,
+                    dirichlet_energy: epoch_step.energy(),
                     lr: schedule.lr(epoch),
-                    grad_norm,
+                    grad_norm: epoch_step.grad_norm,
                     sp_iterations: if self.cfg.ablation.use_semantic_propagation {
                         self.cfg.sp_iterations
                     } else {
@@ -319,6 +449,7 @@ impl DesalignModel {
             state.next_epoch = epoch + 1;
             ran += 1;
         }
+        state.blocks = blocks;
         state.report.seconds += t0.elapsed().as_secs_f64();
         ran
     }
@@ -440,37 +571,65 @@ mod tests {
         cfg
     }
 
+    fn sampled_cfg() -> DesalignConfig {
+        let mut cfg = DesalignConfig::fast();
+        cfg.hidden_dim = 16;
+        cfg.feature_dims = desalign_mmkg::FeatureDims { relation: 32, attribute: 32, visual: 64 };
+        cfg.epochs = 6;
+        cfg.sampled.enabled = true;
+        cfg.sampled.block_entities = 40;
+        cfg.sampled.halo_per_node = 4;
+        cfg
+    }
+
+    /// The full-graph config, and the same config trained in sampled
+    /// blocks.
+    fn full_and_sampled() -> [DesalignConfig; 2] {
+        let mut sampled = tiny_cfg();
+        sampled.sampled = sampled_cfg().sampled;
+        [tiny_cfg(), sampled]
+    }
+
     #[test]
     fn phased_training_equals_fit() {
         let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(60).generate(31);
         let fingerprint = |m: &DesalignModel| -> Vec<u32> {
             m.params().ids().flat_map(|id| m.params().value(id).as_slice().iter().map(|x| x.to_bits())).collect()
         };
-        let mut straight = DesalignModel::new(tiny_cfg(), &ds, 9);
-        straight.fit(&ds);
-        let mut phased = DesalignModel::new(tiny_cfg(), &ds, 9);
-        let mut state = phased.begin_training(&ds);
-        // Arbitrary uneven chunks: 3 + 1 + rest.
-        phased.train_epochs(&mut state, 3);
-        phased.train_epochs(&mut state, 1);
-        phased.train_epochs(&mut state, usize::MAX);
-        phased.end_training(state);
-        assert_eq!(fingerprint(&straight), fingerprint(&phased), "chunked train_epochs diverged from fit");
+        for cfg in full_and_sampled() {
+            let mut straight = DesalignModel::new(cfg.clone(), &ds, 9);
+            straight.fit(&ds);
+            let mut phased = DesalignModel::new(cfg.clone(), &ds, 9);
+            let mut state = phased.begin_training(&ds);
+            // Arbitrary uneven chunks: 3 + 1 + rest.
+            phased.train_epochs(&mut state, 3);
+            phased.train_epochs(&mut state, 1);
+            phased.train_epochs(&mut state, usize::MAX);
+            phased.end_training(state);
+            assert_eq!(
+                fingerprint(&straight),
+                fingerprint(&phased),
+                "chunked train_epochs diverged from fit (sampled: {})",
+                cfg.sampled.enabled
+            );
+        }
     }
 
     #[test]
     fn nan_gradients_trigger_rollback_and_recovery() {
         let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(60).generate(32);
-        let mut model = DesalignModel::new(tiny_cfg(), &ds, 41);
-        model.set_chaos(ChaosPlan { nan_grad_epochs: vec![3] });
-        let mut state = model.begin_training(&ds);
-        model.train_epochs(&mut state, usize::MAX);
-        assert_eq!(state.rollbacks(), 1, "one injected NaN epoch must cause exactly one rollback");
-        let report = model.end_training(state);
-        assert_eq!(report.epochs_run, 8, "run recovers and completes");
-        assert!(report.loss_history.iter().all(|b| b.total.is_finite()), "no NaN epoch may reach the report");
-        for id in model.params().ids() {
-            assert!(model.params().value(id).as_slice().iter().all(|x| x.is_finite()), "weights stayed clean");
+        for cfg in full_and_sampled() {
+            let mut model = DesalignModel::new(cfg, &ds, 41);
+            model.set_chaos(ChaosPlan { nan_grad_epochs: vec![3] });
+            let mut state = model.begin_training(&ds);
+            model.train_epochs(&mut state, usize::MAX);
+            assert_eq!(state.rollbacks(), 1, "one injected NaN epoch must cause exactly one rollback");
+            let report = model.end_training(state);
+            assert_eq!(report.epochs_run, 8, "run recovers and completes");
+            assert!(report.loss_history.iter().all(|b| b.total.is_finite()), "no NaN epoch may reach the report");
+            for id in model.params().ids() {
+                assert!(model.params().value(id).as_slice().iter().all(|x| x.is_finite()), "weights stayed clean");
+            }
         }
     }
 
@@ -539,5 +698,79 @@ mod tests {
         let (k2, mask2) = run();
         assert_eq!((k1, &mask1), (k2, &mask2));
         assert!(mask1.iter().filter(|&&b| !b).count() >= k1);
+    }
+
+    #[test]
+    fn sampled_training_produces_finite_decreasing_loss() {
+        let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(100).generate(1);
+        let mut model = DesalignModel::new(sampled_cfg(), &ds, 7);
+        let report = model.fit(&ds);
+        assert_eq!(report.epochs_run, 6);
+        assert!(report.loss_history.iter().all(|b| b.total.is_finite()), "sampled losses must stay finite");
+        assert!(
+            report.final_loss.total < report.loss_history[0].total,
+            "loss should decrease: {:?}",
+            report.loss_history.iter().map(|b| b.total).collect::<Vec<_>>()
+        );
+        // The trained model still evaluates through the full-graph path.
+        let metrics = model.evaluate(&ds);
+        assert!(metrics.num_queries > 0);
+        assert!(metrics.mrr.is_finite());
+    }
+
+    #[test]
+    fn sampled_training_is_deterministic() {
+        let ds = SynthConfig::preset(DatasetSpec::FbYg15k).scaled(80).generate(3);
+        let run = || {
+            let mut model = DesalignModel::new(sampled_cfg(), &ds, 11);
+            let report = model.fit(&ds);
+            let fp: Vec<u32> = model
+                .params()
+                .ids()
+                .flat_map(|id| model.params().value(id).as_slice().iter().map(|x| x.to_bits()))
+                .collect();
+            (report.final_loss.total.to_bits(), fp)
+        };
+        assert_eq!(run(), run(), "same seed must give a bit-identical sampled trajectory");
+    }
+
+    #[test]
+    fn sampled_training_beats_untrained() {
+        let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(100).generate(2);
+        let mut cfg = sampled_cfg();
+        cfg.epochs = 25;
+        let mut trained = DesalignModel::new(cfg.clone(), &ds, 3);
+        let untrained = DesalignModel::new(cfg, &ds, 3);
+        trained.fit(&ds);
+        let m_trained = trained.evaluate(&ds);
+        let m_untrained = untrained.evaluate(&ds);
+        assert!(
+            m_trained.mrr > m_untrained.mrr,
+            "sampled training should help: {} vs {}",
+            m_trained.mrr,
+            m_untrained.mrr
+        );
+    }
+
+    #[test]
+    fn disabled_switch_keeps_full_graph_path_byte_stable() {
+        // `fit` with sampled.enabled = false must be the historical
+        // trajectory — construct two models with configs differing only
+        // in the (inert) sampled knobs and check identical weights.
+        let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(60).generate(4);
+        let mut cfg_a = sampled_cfg();
+        cfg_a.sampled.enabled = false;
+        let mut cfg_b = cfg_a.clone();
+        cfg_b.sampled.block_entities = 7; // inert while disabled
+        cfg_b.sampled.halo_per_node = 1;
+        let fp = |cfg: DesalignConfig| {
+            let mut m = DesalignModel::new(cfg, &ds, 9);
+            m.fit(&ds);
+            m.params()
+                .ids()
+                .flat_map(|id| m.params().value(id).as_slice().iter().map(|x| x.to_bits()))
+                .collect::<Vec<u32>>()
+        };
+        assert_eq!(fp(cfg_a), fp(cfg_b));
     }
 }

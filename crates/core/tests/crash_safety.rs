@@ -51,9 +51,24 @@ fn loss_bits(report: &desalign_core::TrainReport) -> Vec<u32> {
 
 #[test]
 fn resume_is_bit_identical_to_straight_run() {
+    assert_resume_matches_straight_run(tiny_cfg(8), "resume-bit-identical.ckpt");
+}
+
+#[test]
+fn sampled_resume_is_bit_identical_to_straight_run() {
+    // Block-sampled training checkpoints and resumes through the same
+    // loop: the blocks are rebuilt from the checkpointed pool.
+    let mut cfg = tiny_cfg(8);
+    cfg.sampled.enabled = true;
+    cfg.sampled.block_entities = 40;
+    cfg.sampled.halo_per_node = 4;
+    assert_resume_matches_straight_run(cfg, "sampled-resume-bit-identical.ckpt");
+}
+
+fn assert_resume_matches_straight_run(cfg: DesalignConfig, ckpt: &str) {
     let ds = dataset(41);
-    let path = ckpt_path("resume-bit-identical.ckpt");
-    let (cfg, seed, split) = (tiny_cfg(8), 11u64, 3usize);
+    let path = ckpt_path(ckpt);
+    let (seed, split) = (11u64, 3usize);
 
     // Straight run: all epochs in one process.
     let mut straight = DesalignModel::new(cfg.clone(), &ds, seed);

@@ -127,3 +127,36 @@ fn trained_parameters_match_pinned_bits() {
     // purpose, documented and re-pinned, never as a side effect.
     assert_eq!(trained_param_hash(), 0xa044_6587_b101_deb6, "trained parameter bits moved");
 }
+
+/// FNV-1a 64 over every parameter's f32 bits after two epochs of
+/// block-sampled training (32-entity source blocks, 4 halo neighbours per
+/// core entity) on the same data and configuration as
+/// [`trained_param_hash`].
+fn sampled_param_hash() -> u64 {
+    let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(80).with_image_ratio(0.6).generate(5);
+    let mut cfg = DesalignConfig::fast();
+    cfg.hidden_dim = 32;
+    cfg.feature_dims = FeatureDims { relation: 64, attribute: 64, visual: 64 };
+    cfg.epochs = 2;
+    cfg.batch_size = 64;
+    cfg.sampled.enabled = true;
+    cfg.sampled.block_entities = 32;
+    cfg.sampled.halo_per_node = 4;
+    let mut model = DesalignModel::new(cfg, &ds, 31);
+    model.fit(&ds);
+    let store = model.params();
+    let bytes: Vec<u8> = store.ids().flat_map(|id| store.value(id).as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes())).collect();
+    desalign::util::checksum64(&bytes)
+}
+
+#[test]
+fn sampled_parameters_match_pinned_bits() {
+    // The sampled twin of `trained_parameters_match_pinned_bits`: the hash
+    // was taken from the standalone block-sampled loop before it was folded
+    // into the one trainer, so it proves the fold moved no bit. It must
+    // also hold at every thread count.
+    for threads in [1, 2, 7] {
+        let hash = desalign::parallel::with_threads(threads, sampled_param_hash);
+        assert_eq!(hash, 0x1d60_76db_5d61_6592, "sampled parameter bits moved at {threads} thread(s): {hash:#018x}");
+    }
+}
