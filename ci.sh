@@ -78,21 +78,13 @@ if [ "$fp_straight" != "$fp_resume" ]; then
 fi
 echo "    fingerprint $fp_straight (identical after kill-and-resume)"
 
-# Data-plane robustness gates (docs/RELIABILITY.md, "Data-plane
-# robustness"). First: auditing clean data must be invisible — the
-# end-to-end pipeline fingerprint with DESALIGN_AUDIT=repair must match the
-# no-auditor run bit for bit.
-echo "==> determinism fingerprint (repair audit on clean data is a no-op)"
-fp_audit=$(DESALIGN_AUDIT=repair cargo run -q --offline --release -p desalign-bench --bin determinism_fingerprint)
-if [ "$fp_audit" != "$fp_default" ]; then
-    echo "    AUDIT PERTURBATION: fingerprint $fp_audit with DESALIGN_AUDIT=repair != $fp_default without"
-    exit 1
-fi
-echo "    fingerprint $fp_audit (identical with repair audit)"
-
-# Second: the robustness sweep (R_img/R_seed degradation grids plus every
-# injectable corruption class, repaired and trained end to end) must
-# complete and write an artifact free of non-finite metrics.
+# Data-plane robustness gate (docs/RELIABILITY.md, "Data-plane
+# robustness"): the robustness sweep (R_img/R_seed degradation grids plus
+# every injectable corruption class, repaired and trained end to end) must
+# complete and write an artifact free of non-finite metrics. (That a
+# Repair audit of clean data is a bit-identical no-op, on the
+# determinism_fingerprint dataset too, is the Rust test
+# audit::tests::repair_of_clean_data_is_a_noop.)
 echo "==> robustness_sweep (smoke)"
 robustness_out=$(mktemp)
 DESALIGN_SCALE=40 DESALIGN_EPOCHS=2 DESALIGN_ROBUSTNESS_OUT="$robustness_out" \
@@ -144,13 +136,6 @@ if grep -q "NaN\|Infinity" "$smoke_out"; then
     exit 1
 fi
 rm -f "$smoke_out"
-
-# Tape-allocation gate (docs/DESIGN.md "Tape workspace"): once warm, a
-# training step must allocate zero new gradient buffers — every backward
-# matrix comes from the shared workspace pool. The dedicated test trains a
-# model past warmup and asserts the ws_fresh counter goes flat.
-echo "==> tape workspace steady-state (allocation counters)"
-cargo test -q --offline -p desalign-core --test workspace_steady_state
 
 # Retrieval gate (README.md "Sub-quadratic retrieval"): on a seeded
 # clustered workload the IVF index must hold recall@10 ≥ 0.95 against the
@@ -273,13 +258,7 @@ fi
 echo "    shard round-trip is byte-identical to the in-memory JSON path"
 rm -rf "$stream_dir"
 
-# Second: the hostile-shard sweep — truncations, bit flips, and semantic
-# corruption against the streaming auditor (Strict must reject, Repair must
-# quarantine/rewrite and converge to the in-memory auditor's fingerprint).
-echo "==> hostile-shard sweep (streaming auditor)"
-cargo test -q --offline -p desalign-mmkg --test shard_stream
-
-# Third: the streaming bench smoke with its gate — streamed fingerprints
+# Second: the streaming bench smoke with its gate — streamed fingerprints
 # must match the in-memory dataset at every scale, and the audit's peak
 # payload must stay bounded by the largest shard while the JSON artifact
 # grows with scale (the out-of-core claim). Scratch output so the committed

@@ -570,6 +570,12 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Telemetry on/off is process-global and test threads run in
+    /// parallel: every test that switches it holds this lock, so one
+    /// test's `set_enabled(None)` cannot stop another's span recording.
+    static TELEMETRY: Mutex<()> = Mutex::new(());
 
     #[test]
     fn backward_through_matmul_chain() {
@@ -628,6 +634,7 @@ mod tests {
 
     #[test]
     fn backward_steps_are_timed_under_their_op_name() {
+        let _telemetry = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
         desalign_telemetry::set_enabled(Some(true));
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(3, 2, 0.5));
@@ -648,6 +655,7 @@ mod tests {
 
     #[test]
     fn forward_steps_are_timed_under_their_op_name() {
+        let _telemetry = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
         desalign_telemetry::set_enabled(Some(true));
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(3, 2, 0.5));
@@ -663,6 +671,7 @@ mod tests {
 
     #[test]
     fn fused_attention_ops_are_timed_both_ways() {
+        let _telemetry = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
         desalign_telemetry::set_enabled(Some(true));
         let mut t = Tape::new();
         let x = t.leaf(Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.25], &[-0.75, 1.5]]));

@@ -20,28 +20,12 @@ use desalign_bench::or_die;
 use desalign_core::{DesalignConfig, DesalignModel, TrainReport};
 use desalign_mmkg::{DatasetSpec, FeatureDims, SynthConfig};
 use desalign_testkit::fault::kill_during_atomic_write;
-use desalign_util::read_verified;
+use desalign_util::{read_verified, Fnv64};
 use std::path::PathBuf;
 
 const SEED: u64 = 29;
 const EPOCHS: usize = 6;
 const SPLIT: usize = 2;
-
-/// FNV-1a over a little-endian byte stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 fn cfg() -> DesalignConfig {
     let mut cfg = DesalignConfig::fast();
@@ -105,17 +89,17 @@ fn main() {
     };
 
     let metrics = model.evaluate(&ds);
-    let mut h = Fnv::new();
-    h.update(model.params().weights_to_json_string().as_bytes());
+    let mut h = Fnv64::new();
+    h.write(model.params().weights_to_json_string().as_bytes());
     // The resumed report only covers post-resume epochs, so hash the final
     // epoch's loss (identical in both modes) rather than the whole history.
     let report: &TrainReport = &report;
     if let Some(l) = report.loss_history.last() {
-        h.update(&l.total.to_bits().to_le_bytes());
+        h.write(&l.total.to_bits().to_le_bytes());
     }
     for v in [metrics.hits_at_1, metrics.hits_at_10, metrics.mrr] {
-        h.update(&v.to_bits().to_le_bytes());
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h.update(&(metrics.num_queries as u64).to_le_bytes());
-    println!("{:016x}", h.0);
+    h.write_u64(metrics.num_queries as u64);
+    println!("{:016x}", h.finish());
 }

@@ -55,9 +55,9 @@ impl DesalignModel {
 
     /// Fallible counterpart of [`DesalignModel::new`]: reports an invalid
     /// configuration or a structurally broken dataset as a typed
-    /// [`desalign_util::DesalignError`] instead of panicking. Run the
-    /// dataset through [`desalign_mmkg::DatasetAuditor`] first when the
-    /// data comes from outside the process.
+    /// [`desalign_util::DesalignError`] instead of panicking. Audit the
+    /// dataset first ([`desalign_mmkg::AlignmentDataset::audit`]) when
+    /// the data comes from outside the process.
     pub fn try_new(
         cfg: DesalignConfig,
         dataset: &AlignmentDataset,

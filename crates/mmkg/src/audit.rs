@@ -4,9 +4,9 @@
 //! Real MMKG pipelines break on corrupt inputs long before the model does:
 //! a dangling triple endpoint panics graph construction, a NaN image row
 //! silently poisons fusion, a duplicated seed pair skews supervision. The
-//! [`DatasetAuditor`] scans an [`AlignmentDataset`] for every defect class
-//! of the [`DefectClass`] taxonomy and either rejects it with a full
-//! census ([`AuditPolicy::Strict`]) or quarantines/repairs the defects
+//! auditor scans a dataset for every defect class of the [`DefectClass`]
+//! taxonomy and either rejects it with a full census
+//! ([`AuditPolicy::Strict`]) or quarantines/repairs the defects
 //! deterministically ([`AuditPolicy::Repair`]):
 //!
 //! | defect | repair |
@@ -28,11 +28,26 @@
 //! rejected — real MMKGs are incomplete by nature; the model handles them
 //! via masked fusion (`mask_missing_modalities`).
 //!
+//! **One auditor.** A single driver (`audit_shards`) holds the per-record
+//! loop. It reaches data through the `ShardStore` seam, which has exactly
+//! two implementations: [`AlignmentDataset::audit`] audits the dataset as
+//! one memory-resident shard (entity ranges `0..n`, record numbers equal
+//! to list positions, image rows moved in and back, never copied), and
+//! [`crate::StreamingAuditor`] audits a `DSHARD01` directory one shard at a
+//! time. The driver makes two passes. Pass 1 gathers what is global: each
+//! side's image-dimension histogram (the majority dimension) and every
+//! alignment pair (the one-to-one scan, train before test, in original
+//! order). Pass 2 vets each shard's relation triples, attribute triples
+//! and image rows, takes the missing-modality census, and drops the pairs
+//! the global scan rejected. Records leave a shard only under `Repair`, so
+//! a `Strict` audit never mutates its input and both policies take the
+//! census over the data they report on.
+//!
 //! Repair is **idempotent** (repairing twice equals repairing once) and
 //! **sound** (a repaired dataset passes `Strict`); on an already-clean
 //! dataset it is a bit-identical no-op, checked by
 //! [`dataset_fingerprint`]. These properties are enforced by property
-//! tests and the CI robustness gate.
+//! tests.
 //!
 //! ```
 //! use desalign_mmkg::{AuditPolicy, DatasetSpec, SynthConfig};
@@ -44,8 +59,10 @@
 //! assert!(ds.audit(AuditPolicy::Strict).is_ok(), "repaired data passes strict");
 //! ```
 
-use crate::{AlignmentDataset, Mmkg};
-use desalign_util::{json, DefectClass, DesalignError, Json};
+use crate::shard::{Shard, SideMeta};
+use crate::AlignmentDataset;
+use desalign_util::{json, DefectClass, DesalignError, Fnv64, Json};
+use std::collections::{BTreeMap, HashSet};
 
 /// What the auditor does when it finds a defect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,195 +160,345 @@ impl AuditReport {
     }
 }
 
-/// The auditor itself; see the [module docs](self) for semantics.
-#[derive(Clone, Copy, Debug)]
-pub struct DatasetAuditor {
-    policy: AuditPolicy,
+/// The defect census being taken: per-class counts, repairs, and the
+/// first sighting (the cause of a `Strict` failure).
+pub(crate) struct Census {
+    report: AuditReport,
+    first: Option<DesalignError>,
 }
 
-impl DatasetAuditor {
-    /// An auditor applying `policy`.
-    pub fn new(policy: AuditPolicy) -> Self {
-        Self { policy }
+impl Census {
+    pub(crate) fn new(policy: AuditPolicy) -> Self {
+        Self { report: AuditReport::new(policy), first: None }
     }
 
-    /// Audits `ds`. Under [`AuditPolicy::Repair`] defects are fixed in
-    /// place; under [`AuditPolicy::Strict`] the dataset is never mutated
-    /// and any hard defect fails the audit with a census-carrying error.
-    ///
-    /// Either way the per-class counts are bumped on the
-    /// `desalign-telemetry` counters (`audit.<class>`) and, when a
-    /// metrics sink is installed, the [`AuditReport`] JSON is emitted.
-    pub fn audit(&self, ds: &mut AlignmentDataset) -> Result<AuditReport, DesalignError> {
-        let repair = self.policy == AuditPolicy::Repair;
-        let mut report = AuditReport::new(self.policy);
-        let mut first: Option<DesalignError> = None;
+    fn repair(&self) -> bool {
+        self.report.policy == AuditPolicy::Repair
+    }
 
-        // A defect sighting: count it, remember the first for the Strict
-        // error message.
-        macro_rules! defect {
-            ($class:expr, $loc:expr, $ctx:expr) => {{
-                report.record($class);
-                if first.is_none() {
-                    first = Some(DesalignError::new($class, $loc, $ctx));
-                }
-                if repair {
-                    report.repairs += 1;
-                }
-            }};
+    /// Records one defect at `loc`.
+    fn sight(&mut self, class: DefectClass, loc: String, ctx: String) {
+        self.report.record(class);
+        if self.first.is_none() {
+            self.first = Some(DesalignError::new(class, loc, ctx));
         }
-
-        audit_kg(&mut ds.source, "source", repair, &mut |class, loc, ctx| defect!(class, loc, ctx));
-        audit_kg(&mut ds.target, "target", repair, &mut |class, loc, ctx| defect!(class, loc, ctx));
-
-        // Alignment pairs: bounds + one-to-one, train scanned before test
-        // so under Repair the supervision pairs win ties.
-        let mut vet = PairVet::new(ds.source.num_entities, ds.target.num_entities);
-        for (pairs, label) in [(&mut ds.train_pairs, "train_pairs"), (&mut ds.test_pairs, "test_pairs")] {
-            let mut keep = Vec::with_capacity(pairs.len());
-            for (i, &(s, t)) in pairs.iter().enumerate() {
-                match vet.vet(s, t) {
-                    Some((class, ctx)) => defect!(class, format!("{label}[{i}]"), ctx),
-                    None => keep.push((s, t)),
-                }
-            }
-            if repair && keep.len() != pairs.len() {
-                *pairs = keep;
-            }
+        if self.repair() {
+            self.report.repairs += 1;
         }
+    }
+}
 
-        // Informational missing-modality census (post-repair state).
-        for kg in [&ds.source, &ds.target] {
-            let has_text = kg.entities_with_attributes();
-            for e in 0..kg.num_entities {
-                if kg.images.get(e).is_none_or(|img| img.is_none()) {
-                    report.record(DefectClass::MissingModality);
-                }
-                if !has_text.get(e).copied().unwrap_or(false) {
-                    report.record(DefectClass::MissingModality);
-                }
-            }
-        }
+/// Where the audit driver finds shards. Two implementations: the resident
+/// shard of [`AlignmentDataset::audit`] and the `DSHARD01` directory of
+/// [`crate::StreamingAuditor::audit_dir`].
+pub(crate) trait ShardStore {
+    /// Number of shards; both passes visit `0..len()`.
+    fn len(&self) -> usize;
+    /// Source and target sizes and vocabularies.
+    fn sides(&self) -> [SideMeta; 2];
+    /// Shard `k`, or `None` when it is quarantined (skipped by both passes).
+    fn load(&mut self, k: usize) -> Result<Option<Shard>, DesalignError>;
+    /// Prefix of shard `k`'s defect locations.
+    fn prefix(&self, _k: usize) -> String {
+        String::new()
+    }
+    /// Takes shard `k` back after a pass; `changed` means a `Repair`
+    /// dropped records or quarantined image rows from it.
+    fn put(&mut self, k: usize, shard: Shard, changed: bool) -> Result<(), DesalignError>;
+    /// Called once the census is complete, before a `Strict` failure is
+    /// returned: persist repairs and emit the report.
+    fn finish(&mut self, report: &AuditReport) -> Result<(), DesalignError>;
+}
 
-        for class in DefectClass::ALL {
-            let n = report.count(class);
-            if n > 0 {
-                desalign_telemetry::counter(class.counter_name()).add(n as u64);
+/// The audit driver; see the [module docs](self). `census` may already
+/// hold defects found outside the shards. Bumps the `audit.<class>`
+/// counters and, under `Strict`, fails with the census when any hard
+/// defect was found (wrapped under `name`).
+pub(crate) fn audit_shards(
+    store: &mut impl ShardStore,
+    name: &str,
+    mut census: Census,
+) -> Result<AuditReport, DesalignError> {
+    let repair = census.repair();
+    let sides = store.sides();
+
+    // Pass 1: image-dimension histograms and the pair collection.
+    let mut dims: [BTreeMap<usize, usize>; 2] = Default::default();
+    let mut pairs: [Vec<(usize, (usize, usize))>; 2] = Default::default();
+    for k in 0..store.len() {
+        let Some(shard) = store.load(k)? else { continue };
+        for (side, images) in [&shard.src_images, &shard.tgt_images].into_iter().enumerate() {
+            for row in images.iter().flatten() {
+                *dims[side].entry(row.len()).or_insert(0) += 1;
             }
         }
+        pairs[0].extend_from_slice(&shard.train_pairs);
+        pairs[1].extend_from_slice(&shard.test_pairs);
+        store.put(k, shard, false)?;
+    }
+    // The most common dimension per side, ties to the smaller, so one bad
+    // row cannot outvote the rest of the graph.
+    let majority = dims.map(|d| d.into_iter().min_by_key(|&(dim, n)| (std::cmp::Reverse(n), dim)).map(|(dim, _)| dim));
+
+    // Global pair verdicts: train fully before test, each in original
+    // order, so supervision pairs win one-to-one ties.
+    let mut pair_defects = Vec::new();
+    let mut drop_pairs: [HashSet<usize>; 2] = Default::default();
+    let mut vet = PairVet::new(sides[0].num_entities, sides[1].num_entities);
+    for (list, label) in ["train_pairs", "test_pairs"].into_iter().enumerate() {
+        pairs[list].sort_unstable_by_key(|&(i, _)| i);
+        for &(i, (s, t)) in &pairs[list] {
+            if let Some((class, ctx)) = vet.vet(s, t) {
+                pair_defects.push((class, format!("{label}[{i}]"), ctx));
+                drop_pairs[list].insert(i);
+            }
+        }
+    }
+
+    // Pass 2: per side, the record verdicts and the census; then the pair
+    // drops.
+    for k in 0..store.len() {
+        let Some(mut shard) = store.load(k)? else { continue };
+        let prefix = store.prefix(k);
+        let Shard { src_range, tgt_range, src_rel, src_attr, src_images, tgt_rel, tgt_attr, tgt_images, .. } =
+            &mut shard;
+        let mut changed = false;
+        for (side, label, rel, attr, images, range) in [
+            (0, "source", src_rel, src_attr, src_images, *src_range),
+            (1, "target", tgt_rel, tgt_attr, tgt_images, *tgt_range),
+        ] {
+            let loc = format!("{prefix}{label}");
+            changed |= vet_side(&mut census, &loc, sides[side], majority[side], rel, attr, images, range);
+        }
+        if repair {
+            let before = shard.train_pairs.len() + shard.test_pairs.len();
+            shard.train_pairs.retain(|(i, _)| !drop_pairs[0].contains(i));
+            shard.test_pairs.retain(|(i, _)| !drop_pairs[1].contains(i));
+            changed |= shard.train_pairs.len() + shard.test_pairs.len() != before;
+        }
+        store.put(k, shard, changed)?;
+    }
+
+    // Pair defects are sighted after every graph defect: graphs first,
+    // pairs last.
+    for (class, loc, ctx) in pair_defects {
+        census.sight(class, loc, ctx);
+    }
+    let Census { report, first } = census;
+    for class in DefectClass::ALL {
+        let n = report.count(class);
+        if n > 0 {
+            desalign_telemetry::counter(class.counter_name()).add(n as u64);
+        }
+    }
+    store.finish(&report)?;
+
+    if !repair && !report.is_clean() {
+        let err = first.expect("defects imply a first sighting").wrap(
+            DefectClass::Schema,
+            name.to_string(),
+            format!("strict audit found {} defect(s): {}", report.total_defects(), report.summary()),
+        );
+        return Err(err);
+    }
+    Ok(report)
+}
+
+/// Pass 2 over one side of one shard: the relation, attribute and image
+/// vets, then the missing-modality census over the shard's entity range.
+/// Under `Repair` defective triples are dropped and defective rows
+/// quarantined to `None`; returns whether anything was.
+#[allow(clippy::too_many_arguments)]
+fn vet_side(
+    census: &mut Census,
+    loc: &str,
+    meta: SideMeta,
+    majority_dim: Option<usize>,
+    rel: &mut Vec<(usize, (usize, usize, usize))>,
+    attr: &mut Vec<(usize, (usize, usize))>,
+    images: &mut [Option<Vec<f32>>],
+    (start, end): (usize, usize),
+) -> bool {
+    let repair = census.repair();
+    let records = rel.len() + attr.len();
+    let mut quarantined = false;
+
+    // Every triple lives in the shard of its head entity, so duplicates
+    // (which share all three fields) always meet in one shard's vet.
+    let mut rel_vet = RelTripleVet::new(meta.num_entities, meta.num_relations);
+    rel.retain(|&(i, (h, r, t))| match rel_vet.vet(h, r, t) {
+        Some((class, ctx)) => {
+            census.sight(class, format!("{loc}.rel_triples[{i}]"), ctx);
+            !repair
+        }
+        None => true,
+    });
+    attr.retain(|&(i, (e, a))| match vet_attr_triple(e, a, meta.num_entities, meta.num_attributes) {
+        Some((class, ctx)) => {
+            census.sight(class, format!("{loc}.attr_triples[{i}]"), ctx);
+            !repair
+        }
+        None => true,
+    });
+    for (e, slot) in (start..).zip(images.iter_mut()) {
+        let Some(row) = slot.as_deref() else { continue };
+        if let Some((class, ctx)) = vet_image_row(row, majority_dim) {
+            census.sight(class, format!("{loc}.images[{e}]"), ctx);
+            if repair {
+                *slot = None;
+                quarantined = true;
+            }
+        }
+    }
+
+    let mut has_text = vec![false; end - start];
+    for &(_, (e, _)) in attr.iter() {
+        if (start..end).contains(&e) {
+            has_text[e - start] = true;
+        }
+    }
+    for (slot, text) in images.iter().zip(has_text) {
+        if slot.is_none() {
+            census.report.record(DefectClass::MissingModality);
+        }
+        if !text {
+            census.report.record(DefectClass::MissingModality);
+        }
+    }
+    quarantined || rel.len() + attr.len() != records
+}
+
+/// The whole dataset as one memory-resident shard: entity ranges `0..n`,
+/// every record numbered by its list position.
+struct Resident {
+    sides: [SideMeta; 2],
+    shard: Option<Shard>,
+}
+
+impl Resident {
+    /// Moves the image rows of `ds` into the shard and numbers copies of
+    /// its record lists.
+    fn new(ds: &mut AlignmentDataset) -> Self {
+        fn numbered<T: Copy>(list: &[T]) -> Vec<(usize, T)> {
+            list.iter().copied().enumerate().collect()
+        }
+        let shard = Shard {
+            index: 0,
+            src_range: (0, ds.source.num_entities),
+            tgt_range: (0, ds.target.num_entities),
+            src_rel: numbered(&ds.source.rel_triples),
+            src_attr: numbered(&ds.source.attr_triples),
+            src_images: std::mem::take(&mut ds.source.images),
+            tgt_rel: numbered(&ds.target.rel_triples),
+            tgt_attr: numbered(&ds.target.attr_triples),
+            tgt_images: std::mem::take(&mut ds.target.images),
+            train_pairs: numbered(&ds.train_pairs),
+            test_pairs: numbered(&ds.test_pairs),
+        };
+        Self { sides: [SideMeta::of(&ds.source), SideMeta::of(&ds.target)], shard: Some(shard) }
+    }
+
+    /// Moves the image rows back into `ds`, and every record list that
+    /// got shorter. Records leave the shard only under `Repair`, so a
+    /// shorter list is a repaired one.
+    fn restore(self, ds: &mut AlignmentDataset) {
+        fn unnumbered<T>(list: &mut Vec<T>, kept: Vec<(usize, T)>) {
+            if kept.len() != list.len() {
+                *list = kept.into_iter().map(|(_, x)| x).collect();
+            }
+        }
+        let shard = self.shard.expect("the driver hands the resident shard back");
+        ds.source.images = shard.src_images;
+        ds.target.images = shard.tgt_images;
+        unnumbered(&mut ds.source.rel_triples, shard.src_rel);
+        unnumbered(&mut ds.source.attr_triples, shard.src_attr);
+        unnumbered(&mut ds.target.rel_triples, shard.tgt_rel);
+        unnumbered(&mut ds.target.attr_triples, shard.tgt_attr);
+        unnumbered(&mut ds.train_pairs, shard.train_pairs);
+        unnumbered(&mut ds.test_pairs, shard.test_pairs);
+    }
+}
+
+impl ShardStore for Resident {
+    fn len(&self) -> usize {
+        1
+    }
+
+    fn sides(&self) -> [SideMeta; 2] {
+        self.sides
+    }
+
+    fn load(&mut self, _k: usize) -> Result<Option<Shard>, DesalignError> {
+        Ok(self.shard.take())
+    }
+
+    fn put(&mut self, _k: usize, shard: Shard, _changed: bool) -> Result<(), DesalignError> {
+        self.shard = Some(shard);
+        Ok(())
+    }
+
+    fn finish(&mut self, report: &AuditReport) -> Result<(), DesalignError> {
         desalign_telemetry::emit(&report.to_json());
-
-        if !repair && !report.is_clean() {
-            let summary = report.summary();
-            let total = report.total_defects();
-            let err = first.expect("defects imply a first sighting").wrap(
-                DefectClass::Schema,
-                ds.name.clone(),
-                format!("strict audit found {total} defect(s): {summary}"),
-            );
-            return Err(err);
-        }
-        Ok(report)
+        Ok(())
     }
 }
 
 impl AlignmentDataset {
-    /// Runs a [`DatasetAuditor`] with `policy` over this dataset; see the
-    /// [audit module docs](crate::audit) for defect and repair semantics.
+    /// Audits this dataset as one memory-resident shard; see the [audit
+    /// module docs](crate::audit) for defect and repair semantics.
+    ///
+    /// Under [`AuditPolicy::Repair`] defects are fixed in place; under
+    /// [`AuditPolicy::Strict`] the dataset is never mutated and any hard
+    /// defect fails the audit with a census-carrying error. Either way the
+    /// per-class counts are bumped on the `desalign-telemetry` counters
+    /// (`audit.<class>`) and, when a metrics sink is installed, the
+    /// [`AuditReport`] JSON is emitted.
     pub fn audit(&mut self, policy: AuditPolicy) -> Result<AuditReport, DesalignError> {
-        DatasetAuditor::new(policy).audit(self)
-    }
-}
-
-/// Audits one side graph, reporting defects through `sink` and repairing
-/// in place when `repair` is set.
-fn audit_kg(
-    kg: &mut Mmkg,
-    side: &str,
-    repair: bool,
-    sink: &mut dyn FnMut(DefectClass, String, String),
-) {
-    let n = kg.num_entities;
-
-    // Container shape: images vector must have one slot per entity.
-    if kg.images.len() != n {
-        sink(
-            DefectClass::Schema,
-            format!("{side}.images"),
-            format!("{} entries for {n} entities", kg.images.len()),
-        );
-        if repair {
+        let mut census = Census::new(policy);
+        // The one defect a shard cannot hold: an images vector whose
+        // length is not the entity count. Repair pads or truncates; Strict
+        // audits a padded view and restores the vector afterwards.
+        let spill = [(&mut self.source, "source"), (&mut self.target, "target")].map(|(kg, label)| {
+            let (len, n) = (kg.images.len(), kg.num_entities);
+            if len == n {
+                return None;
+            }
+            census.sight(DefectClass::Schema, format!("{label}.images"), format!("{len} entries for {n} entities"));
+            let overhang = kg.images.split_off(n.min(len));
             kg.images.resize(n, None);
-        }
-    }
-
-    // Relation triples: bounds, vocabulary, self-loops, duplicates.
-    let mut vet = RelTripleVet::new(n, kg.num_relations);
-    let mut keep = Vec::with_capacity(kg.rel_triples.len());
-    for (i, &(h, r, t)) in kg.rel_triples.iter().enumerate() {
-        match vet.vet(h, r, t) {
-            Some((class, ctx)) => sink(class, format!("{side}.rel_triples[{i}]"), ctx),
-            None => keep.push((h, r, t)),
-        }
-    }
-    if repair && keep.len() != kg.rel_triples.len() {
-        kg.rel_triples = keep;
-    }
-
-    // Attribute triples: bounds + vocabulary only — duplicates are term
-    // frequency for the BoW encoder, never defects.
-    let mut keep = Vec::with_capacity(kg.attr_triples.len());
-    for (i, &(e, a)) in kg.attr_triples.iter().enumerate() {
-        match vet_attr_triple(e, a, n, kg.num_attributes) {
-            Some((class, ctx)) => sink(class, format!("{side}.attr_triples[{i}]"), ctx),
-            None => keep.push((e, a)),
-        }
-    }
-    if repair && keep.len() != kg.attr_triples.len() {
-        kg.attr_triples = keep;
-    }
-
-    // Image rows. The reference dimension is the majority dimension over
-    // present rows (ties break to the smaller), so one bad row cannot
-    // outvote the rest of the graph.
-    let expected_dim = majority_dim(&kg.images);
-    for i in 0..kg.images.len().min(n) {
-        let Some(row) = kg.images[i].as_ref() else { continue };
-        if let Some((class, ctx)) = vet_image_row(row, expected_dim) {
-            sink(class, format!("{side}.images[{i}]"), ctx);
-            if repair {
-                kg.images[i] = None; // quarantine: entity loses its image
+            Some((len, overhang))
+        });
+        let mut store = Resident::new(self);
+        let result = audit_shards(&mut store, &self.name, census);
+        store.restore(self);
+        if policy == AuditPolicy::Strict {
+            for (kg, spilled) in [&mut self.source, &mut self.target].into_iter().zip(spill) {
+                if let Some((len, mut overhang)) = spilled {
+                    kg.images.truncate(len);
+                    kg.images.append(&mut overhang);
+                }
             }
         }
+        result
     }
 }
-
-// --- shared per-record verdicts --------------------------------------
-//
-// Both the in-memory `DatasetAuditor` above and the shard-streaming
-// `StreamingAuditor` (stream.rs) classify records through these helpers,
-// so the two audit paths cannot drift apart semantically. The shard
-// format assigns every relation triple to the shard owning its head
-// entity, so duplicates (which share all three fields) always land in the
-// same shard and the per-list `RelTripleVet` state gives identical
-// verdicts in both paths.
 
 /// Stateful relation-triple vet. Check order (first match wins): dangling
 /// endpoint → unknown relation → self-loop → duplicate. One instance per
 /// triple list.
-pub(crate) struct RelTripleVet {
+struct RelTripleVet {
     n: usize,
     num_relations: usize,
-    seen: std::collections::HashSet<(usize, usize, usize)>,
+    seen: HashSet<(usize, usize, usize)>,
 }
 
 impl RelTripleVet {
-    pub(crate) fn new(n: usize, num_relations: usize) -> Self {
-        Self { n, num_relations, seen: std::collections::HashSet::new() }
+    fn new(n: usize, num_relations: usize) -> Self {
+        Self { n, num_relations, seen: HashSet::new() }
     }
 
     /// `None` = keep the triple; `Some` = drop it, with class + context.
-    pub(crate) fn vet(&mut self, h: usize, r: usize, t: usize) -> Option<(DefectClass, String)> {
+    fn vet(&mut self, h: usize, r: usize, t: usize) -> Option<(DefectClass, String)> {
         let (n, num_rel) = (self.n, self.num_relations);
         if h >= n || t >= n {
             Some((DefectClass::DanglingEndpoint, format!("({h},{r},{t}) references a missing entity (have {n})")))
@@ -349,7 +516,7 @@ impl RelTripleVet {
 
 /// Attribute-triple vet: bounds + vocabulary (duplicates are BoW term
 /// frequency, never defects). `None` = keep.
-pub(crate) fn vet_attr_triple(e: usize, a: usize, n: usize, num_attributes: usize) -> Option<(DefectClass, String)> {
+fn vet_attr_triple(e: usize, a: usize, n: usize, num_attributes: usize) -> Option<(DefectClass, String)> {
     if e >= n {
         Some((DefectClass::DanglingEndpoint, format!("({e},{a}) references a missing entity (have {n})")))
     } else if a >= num_attributes {
@@ -361,7 +528,7 @@ pub(crate) fn vet_attr_triple(e: usize, a: usize, n: usize, num_attributes: usiz
 
 /// Image-row vet against the side's majority dimension. Check order:
 /// non-finite value → dimension mismatch → zero norm. `None` = keep.
-pub(crate) fn vet_image_row(row: &[f32], expected_dim: Option<usize>) -> Option<(DefectClass, String)> {
+fn vet_image_row(row: &[f32], expected_dim: Option<usize>) -> Option<(DefectClass, String)> {
     if let Some(k) = row.iter().position(|v| !v.is_finite()) {
         Some((DefectClass::NonFiniteFeature, format!("row value [{k}] = {} is not finite", row[k])))
     } else if expected_dim.is_some_and(|d| row.len() != d) {
@@ -375,7 +542,7 @@ pub(crate) fn vet_image_row(row: &[f32], expected_dim: Option<usize>) -> Option<
 
 /// Stateful alignment-pair vet: bounds then one-to-one. Feed the train
 /// list fully before the test list so supervision pairs win ties.
-pub(crate) struct PairVet {
+struct PairVet {
     n_s: usize,
     n_t: usize,
     seen_s: Vec<bool>,
@@ -383,12 +550,12 @@ pub(crate) struct PairVet {
 }
 
 impl PairVet {
-    pub(crate) fn new(n_s: usize, n_t: usize) -> Self {
+    fn new(n_s: usize, n_t: usize) -> Self {
         Self { n_s, n_t, seen_s: vec![false; n_s], seen_t: vec![false; n_t] }
     }
 
     /// `None` = keep the pair; `Some` = drop it.
-    pub(crate) fn vet(&mut self, s: usize, t: usize) -> Option<(DefectClass, String)> {
+    fn vet(&mut self, s: usize, t: usize) -> Option<(DefectClass, String)> {
         let (n_s, n_t) = (self.n_s, self.n_t);
         if s >= n_s || t >= n_t {
             return Some((DefectClass::PairOutOfRange, format!("({s},{t}) out of bounds for {n_s}x{n_t} entities")));
@@ -402,72 +569,48 @@ impl PairVet {
     }
 }
 
-/// The most common feature-row dimension (ties break to the smaller);
-/// `None` when no image is present.
-fn majority_dim(images: &[Option<Vec<f32>>]) -> Option<usize> {
-    let mut counts: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    for row in images.iter().flatten() {
-        *counts.entry(row.len()).or_insert(0) += 1;
-    }
-    majority_from_counts(counts)
-}
-
-/// Majority rule shared with the streaming auditor, which accumulates the
-/// dimension histogram across shards before deciding. BTreeMap iterates in
-/// ascending key order, so `>` (strict max) keeps the smaller dimension on
-/// a tie.
-pub(crate) fn majority_from_counts(counts: std::collections::BTreeMap<usize, usize>) -> Option<usize> {
-    counts.into_iter().max_by(|a, b| a.1.cmp(&b.1)).map(|(d, _)| d)
-}
-
 /// A structural FNV-1a fingerprint of the full dataset — name, sizes,
 /// triples, attribute triples, image presence and exact f32 bit patterns,
 /// train and test pairs. Two datasets fingerprint equal iff they are
 /// bit-identical, which is how the "repairing clean data is a no-op"
 /// guarantee is checked.
 pub fn dataset_fingerprint(ds: &AlignmentDataset) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(ds.name.as_bytes());
+    let mut h = Fnv64::new();
+    h.write(ds.name.as_bytes());
     for kg in [&ds.source, &ds.target] {
         for v in [kg.num_entities, kg.num_relations, kg.num_attributes, kg.rel_triples.len(), kg.attr_triples.len(), kg.images.len()] {
-            eat(&(v as u64).to_le_bytes());
+            h.write_u64(v as u64);
         }
         for &(a, b, c) in &kg.rel_triples {
-            eat(&(a as u64).to_le_bytes());
-            eat(&(b as u64).to_le_bytes());
-            eat(&(c as u64).to_le_bytes());
+            for v in [a, b, c] {
+                h.write_u64(v as u64);
+            }
         }
         for &(a, b) in &kg.attr_triples {
-            eat(&(a as u64).to_le_bytes());
-            eat(&(b as u64).to_le_bytes());
+            h.write_u64(a as u64);
+            h.write_u64(b as u64);
         }
         for img in &kg.images {
             match img {
-                None => eat(&[0]),
+                None => h.write(&[0]),
                 Some(row) => {
-                    eat(&[1]);
-                    eat(&(row.len() as u64).to_le_bytes());
+                    h.write(&[1]);
+                    h.write_u64(row.len() as u64);
                     for &v in row {
-                        eat(&v.to_bits().to_le_bytes());
+                        h.write(&v.to_bits().to_le_bytes());
                     }
                 }
             }
         }
     }
     for pairs in [&ds.train_pairs, &ds.test_pairs] {
-        eat(&(pairs.len() as u64).to_le_bytes());
+        h.write_u64(pairs.len() as u64);
         for &(a, b) in pairs.iter() {
-            eat(&(a as u64).to_le_bytes());
-            eat(&(b as u64).to_le_bytes());
+            h.write_u64(a as u64);
+            h.write_u64(b as u64);
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]
@@ -491,14 +634,28 @@ mod tests {
 
     #[test]
     fn strict_never_mutates() {
-        let mut ds = small();
-        ds.source.rel_triples.push((0, 0, 0)); // self-loop
-        ds.source.images[1] = Some(vec![f32::INFINITY; 4]);
-        let before = dataset_fingerprint(&ds);
-        let err = ds.audit(AuditPolicy::Strict).expect_err("defects must fail strict");
-        assert_eq!(dataset_fingerprint(&ds), before, "strict audit mutated the dataset");
-        assert!(err.to_string().contains("self-loop-triple"), "{err}");
-        assert!(err.to_string().contains("non-finite-feature"), "{err}");
+        type Corrupt = fn(&mut AlignmentDataset);
+        // Each input lists every class its error must name: the error
+        // carries the full census, not only the first defect.
+        let inputs: [(&[&str], Corrupt); 4] = [
+            (&["self-loop-triple", "non-finite-feature"], |ds| {
+                ds.source.rel_triples.push((0, 0, 0));
+                ds.source.images[1] = Some(vec![f32::INFINITY; 4]);
+            }),
+            (&["dangling-endpoint"], |ds| ds.source.attr_triples.insert(0, (ds.source.num_entities + 3, 0))),
+            (&["schema"], |ds| ds.target.images.truncate(ds.target.num_entities - 3)),
+            (&["schema"], |ds| ds.source.images.push(Some(vec![1.0; 7]))),
+        ];
+        for (classes, corrupt) in inputs {
+            let mut ds = small();
+            corrupt(&mut ds);
+            let before = dataset_fingerprint(&ds);
+            let err = ds.audit(AuditPolicy::Strict).expect_err("defects must fail strict");
+            assert_eq!(dataset_fingerprint(&ds), before, "strict audit mutated the dataset ({classes:?})");
+            for class in classes {
+                assert!(err.to_string().contains(class), "{class} missing from {err}");
+            }
+        }
     }
 
     #[test]
@@ -548,12 +705,29 @@ mod tests {
 
     #[test]
     fn repair_of_clean_data_is_a_noop() {
+        // The second input is the dataset of the `determinism_fingerprint`
+        // pipeline, so an audit wired in front of it cannot perturb it.
+        let pipeline = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(80).with_image_ratio(0.6).generate(5);
+        for mut ds in [small(), pipeline] {
+            let before = dataset_fingerprint(&ds);
+            let report = ds.audit(AuditPolicy::Repair).expect("repair");
+            assert!(report.is_clean(), "{}", report.summary());
+            assert_eq!(report.repairs, 0);
+            assert_eq!(dataset_fingerprint(&ds), before, "repairing clean data must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn majority_dimension_ties_break_to_the_smaller() {
         let mut ds = small();
-        let before = dataset_fingerprint(&ds);
+        ds.source.images.iter_mut().for_each(|row| *row = None);
+        for (e, dim) in [(0, 5), (1, 4), (2, 5), (3, 4)] {
+            ds.source.images[e] = Some(vec![1.0; dim]);
+        }
         let report = ds.audit(AuditPolicy::Repair).expect("repair");
-        assert!(report.is_clean());
-        assert_eq!(report.repairs, 0);
-        assert_eq!(dataset_fingerprint(&ds), before, "repairing clean data must be bit-identical");
+        assert_eq!(report.count(DefectClass::DimensionMismatch), 2);
+        let kept: Vec<usize> = (0..4).filter(|&e| ds.source.images[e].is_some()).collect();
+        assert_eq!(kept, vec![1, 3], "the 4-dim rows must win the 2:2 tie");
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Mmkg {
     ///
     /// This is the cheap structural check (bounds + dimensions) run by
     /// loaders and debug assertions; the full defect census with repair
-    /// lives in [`crate::DatasetAuditor`].
+    /// lives in [`AlignmentDataset::audit`].
     pub fn validate(&self) -> Result<(), DesalignError> {
         self.validate_at("kg")
     }

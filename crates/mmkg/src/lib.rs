@@ -32,7 +32,7 @@ pub mod shard;
 pub mod stream;
 mod synth;
 
-pub use audit::{dataset_fingerprint, AuditPolicy, AuditReport, DatasetAuditor};
+pub use audit::{dataset_fingerprint, AuditPolicy, AuditReport};
 pub use features::{fill_missing_with_noise, FeatureDims, ModalFeatures};
 pub use kg::{AlignmentDataset, KgStats, Mmkg};
 pub use loader::{load_dataset_json, save_dataset_json};

@@ -42,7 +42,7 @@
 //! ```
 
 use crate::audit::dataset_fingerprint;
-use crate::AlignmentDataset;
+use crate::{AlignmentDataset, Mmkg};
 use desalign_util::{
     atomic_write, json, read_verified, u64_from_json, u64_to_json, DesalignError, FromJson, FrameWriter, Json,
     JsonError, ToJson,
@@ -85,6 +85,13 @@ pub struct SideMeta {
     pub num_relations: usize,
     /// Attribute vocabulary size.
     pub num_attributes: usize,
+}
+
+impl SideMeta {
+    /// The sizes of `kg`.
+    pub(crate) fn of(kg: &Mmkg) -> Self {
+        Self { num_entities: kg.num_entities, num_relations: kg.num_relations, num_attributes: kg.num_attributes }
+    }
 }
 
 /// One shard's manifest entry: file name, entity ranges, and the frame
@@ -415,16 +422,8 @@ pub fn write_shards(ds: &AlignmentDataset, dir: &Path, shard_entities: usize) ->
         version: SHARD_FORMAT_VERSION,
         name: ds.name.clone(),
         dataset_fingerprint: dataset_fingerprint(ds),
-        source: SideMeta {
-            num_entities: n_s,
-            num_relations: ds.source.num_relations,
-            num_attributes: ds.source.num_attributes,
-        },
-        target: SideMeta {
-            num_entities: n_t,
-            num_relations: ds.target.num_relations,
-            num_attributes: ds.target.num_attributes,
-        },
+        source: SideMeta::of(&ds.source),
+        target: SideMeta::of(&ds.target),
         n_train: ds.train_pairs.len(),
         n_test: ds.test_pairs.len(),
         shard_entities,

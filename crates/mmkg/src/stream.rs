@@ -1,33 +1,27 @@
 //! Shard-by-shard streaming audit and assembly for `DSHARD01` dataset
 //! directories.
 //!
-//! [`StreamingAuditor`] is the out-of-core counterpart of the in-memory
-//! [`crate::DatasetAuditor`]: it validates (and under
-//! [`AuditPolicy::Repair`] repairs, rewriting each fixed shard atomically)
-//! a shard directory while holding **at most one decoded shard** in
-//! memory, plus O(n)-bit presence bitmaps and the integer alignment-pair
-//! records — never the feature rows, which dominate a real MMKG's
-//! footprint. The per-record verdicts are the *same functions* the
-//! in-memory auditor uses (`audit.rs`), so the two paths cannot drift:
-//! repairing a dataset in memory and repairing its sharded form yield
-//! bit-identical datasets (property-tested in `tests/shard_stream.rs`,
-//! CI-gated).
+//! [`StreamingAuditor`] runs the one audit driver of [`crate::audit`] over
+//! a shard directory. It validates (and under [`AuditPolicy::Repair`]
+//! repairs, rewriting each fixed shard atomically) the directory while
+//! holding **at most one decoded shard** in memory, plus the integer
+//! alignment-pair records — never the feature rows, which dominate a real
+//! MMKG's footprint. [`AlignmentDataset::audit`] is the same driver over
+//! one memory-resident shard, so repairing a dataset in memory and
+//! repairing its sharded form yield bit-identical datasets
+//! (property-tested in `tests/shard_stream.rs`).
 //!
-//! Cross-shard state is what makes streaming audit subtle; three pieces
-//! are global and handled in a histogram/collection pass before repair:
+//! This module holds only what is particular to a directory: shard
+//! loading with frame and manifest verification, quarantine, the rewrite
+//! of repaired shards, `{file}:`-prefixed defect locations, and the
+//! manifest fingerprint update. Quarantine: under `Repair` an unreadable
+//! shard is counted (`shard.quarantined`), skipped, and left untouched on
+//! disk — other shards are still audited and repaired; assembly then
+//! refuses the directory. Under `Strict` the first unreadable shard fails
+//! the audit immediately with the shard file and byte offset in the error.
 //!
-//! - the **majority image dimension** per side (a per-shard majority could
-//!   disagree with the in-memory global majority);
-//! - the **one-to-one pair scan** (duplicate pairs may span shards; the
-//!   train list must win ties over test, in original order);
-//! - **quarantine**: under `Repair` an unreadable shard is counted
-//!   (`shard.quarantined`), skipped, and left untouched on disk — other
-//!   shards are still audited and repaired; assembly then refuses the
-//!   directory. Under `Strict` the first unreadable shard fails the audit
-//!   immediately with the shard file and byte offset in the error.
-//!
-//! Telemetry mirrors the in-memory auditor (`audit.<class>` counters, one
-//! emitted report) plus the new `shard.read`, `shard.bytes_read`,
+//! Telemetry: the driver's `audit.<class>` counters, one emitted
+//! [`StreamReport`], and the `shard.read`, `shard.bytes_read`,
 //! `shard.rewritten`, and `shard.quarantined` counters.
 //!
 //! ```
@@ -47,15 +41,10 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::audit::{
-    dataset_fingerprint, majority_from_counts, vet_attr_triple, vet_image_row, AuditReport, PairVet, RelTripleVet,
-};
-use crate::shard::{
-    decode_shard, encode_shard, write_manifest, ShardManifest, ShardMeta, ShardRecords,
-};
+use crate::audit::{audit_shards, dataset_fingerprint, AuditReport, Census, ShardStore};
+use crate::shard::{decode_shard, encode_shard, write_manifest, Shard, ShardManifest, ShardMeta, ShardRecords, SideMeta};
 use crate::{AlignmentDataset, AuditPolicy, Mmkg};
-use desalign_util::{checksum64, json, read_verified, DefectClass, DesalignError, Json};
-use std::collections::{BTreeMap, HashSet};
+use desalign_util::{checksum64, json, read_verified, DefectClass, DesalignError, Fnv64, Json};
 use std::io;
 use std::path::Path;
 
@@ -63,8 +52,8 @@ use std::path::Path;
 /// shard-level accounting.
 #[derive(Clone, Debug)]
 pub struct StreamReport {
-    /// Per-class defect census and repair count (same semantics as the
-    /// in-memory [`crate::DatasetAuditor`]).
+    /// Per-class defect census and repair count (same semantics as
+    /// [`AlignmentDataset::audit`]).
     pub audit: AuditReport,
     /// Shard payload reads performed (the auditor scans twice: one
     /// histogram/pair-collection pass, one verdict/repair pass).
@@ -105,7 +94,7 @@ pub struct StreamingAuditor {
 
 /// Reads, frame-verifies, manifest-cross-checks, and decodes one shard.
 /// Used by the auditor, the assembler, and [`streaming_fingerprint`].
-fn load_verified_shard(dir: &Path, meta: &ShardMeta) -> Result<crate::Shard, DesalignError> {
+fn load_verified_shard(dir: &Path, meta: &ShardMeta) -> Result<Shard, DesalignError> {
     let path = dir.join(&meta.file);
     let loc = || path.display().to_string();
     // Same fault site as the random-access `read_shard`: a flaky disk
@@ -153,280 +142,133 @@ impl StreamingAuditor {
     /// the first defect with the full census (or immediately on an
     /// unreadable shard, with the file and byte offset in the error).
     pub fn audit_dir(&self, dir: &Path) -> Result<StreamReport, DesalignError> {
-        let repair = self.policy == AuditPolicy::Repair;
-        let mut manifest = crate::read_manifest(dir)?;
-        let mut report = AuditReport::new(self.policy);
-        let mut first: Option<DesalignError> = None;
-        let mut repairs = 0usize;
-        let mut shards_read = 0usize;
-        let mut bytes_read = 0u64;
-        let mut peak_payload = 0u64;
-        let mut quarantined: Vec<usize> = Vec::new();
+        let manifest = crate::read_manifest(dir)?;
+        let name = manifest.name.clone();
+        let mut store = ShardDir {
+            dir,
+            repair: self.policy == AuditPolicy::Repair,
+            verified: vec![false; manifest.shards.len()],
+            manifest,
+            quarantined: Vec::new(),
+            shards_read: 0,
+            bytes_read: 0,
+            peak_payload: 0,
+            shards_rewritten: 0,
+        };
+        let audit = audit_shards(&mut store, &name, Census::new(self.policy))?;
+        Ok(store.report(audit))
+    }
+}
 
-        // --- pass 1: dimension histograms + pair collection -----------
-        let mut src_dims: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut tgt_dims: BTreeMap<usize, usize> = BTreeMap::new();
-        // (orig_idx, s, t) per list, gathered across shards.
-        let mut all_pairs: [Vec<(usize, usize, usize)>; 2] = [Vec::new(), Vec::new()];
-        for meta in &manifest.shards {
-            match load_verified_shard(dir, meta) {
-                Ok(shard) => {
-                    shards_read += 1;
-                    bytes_read += meta.payload_len;
-                    peak_payload = peak_payload.max(meta.payload_len);
-                    for row in shard.src_images.iter().flatten() {
-                        *src_dims.entry(row.len()).or_insert(0) += 1;
-                    }
-                    for row in shard.tgt_images.iter().flatten() {
-                        *tgt_dims.entry(row.len()).or_insert(0) += 1;
-                    }
-                    for (list, pairs) in [&shard.train_pairs, &shard.test_pairs].into_iter().enumerate() {
-                        all_pairs[list].extend(pairs.iter().map(|&(i, (s, t))| (i, s, t)));
-                    }
-                }
-                Err(e) => {
-                    if !repair {
-                        return Err(e.wrap(
-                            DefectClass::Schema,
-                            manifest.name.clone(),
-                            format!("strict streaming audit: shard {} is unreadable", meta.index),
-                        ));
-                    }
-                    quarantined.push(meta.index);
-                }
-            }
+/// A `DSHARD01` directory as the audit driver's shard store.
+struct ShardDir<'a> {
+    dir: &'a Path,
+    manifest: ShardManifest,
+    repair: bool,
+    /// Shards that have loaded once; a later failure is a hard error.
+    verified: Vec<bool>,
+    quarantined: Vec<usize>,
+    shards_read: usize,
+    bytes_read: u64,
+    peak_payload: u64,
+    shards_rewritten: usize,
+}
+
+impl ShardDir<'_> {
+    fn report(&self, audit: AuditReport) -> StreamReport {
+        StreamReport {
+            audit,
+            shards_read: self.shards_read,
+            shards_rewritten: self.shards_rewritten,
+            quarantined: self.quarantined.clone(),
+            peak_payload_bytes: self.peak_payload,
+            fingerprint: self.manifest.dataset_fingerprint,
         }
-        let src_expected = majority_from_counts(src_dims);
-        let tgt_expected = majority_from_counts(tgt_dims);
+    }
+}
 
-        // --- global pair verdicts (train fully before test) -----------
-        // Original list order is restored by sorting on orig_idx; the
-        // verdicts and locations then match the in-memory auditor's
-        // exactly.
-        let mut pair_defects: Vec<(DefectClass, String, String)> = Vec::new();
-        let mut drop_pairs: [HashSet<usize>; 2] = [HashSet::new(), HashSet::new()];
-        let mut vet = PairVet::new(manifest.source.num_entities, manifest.target.num_entities);
-        for (list, label) in [(0usize, "train_pairs"), (1, "test_pairs")] {
-            all_pairs[list].sort_unstable_by_key(|&(i, _, _)| i);
-            for &(i, s, t) in &all_pairs[list] {
-                if let Some((class, ctx)) = vet.vet(s, t) {
-                    pair_defects.push((class, format!("{label}[{i}]"), ctx));
-                    drop_pairs[list].insert(i);
-                }
-            }
+impl ShardStore for ShardDir<'_> {
+    fn len(&self) -> usize {
+        self.manifest.shards.len()
+    }
+
+    fn sides(&self) -> [SideMeta; 2] {
+        [self.manifest.source, self.manifest.target]
+    }
+
+    fn load(&mut self, k: usize) -> Result<Option<Shard>, DesalignError> {
+        let meta = &self.manifest.shards[k];
+        if self.quarantined.contains(&meta.index) {
+            return Ok(None);
         }
-
-        // --- pass 2: per-shard verdicts, repairs, rewrites ------------
-        let quarantine_set: HashSet<usize> = quarantined.iter().copied().collect();
-        let mut shards_rewritten = 0usize;
-        for meta in manifest.shards.iter_mut() {
-            if quarantine_set.contains(&meta.index) {
-                continue;
+        match load_verified_shard(self.dir, meta) {
+            Ok(shard) => {
+                self.verified[k] = true;
+                self.shards_read += 1;
+                self.bytes_read += meta.payload_len;
+                self.peak_payload = self.peak_payload.max(meta.payload_len);
+                Ok(Some(shard))
             }
-            let mut shard = load_verified_shard(dir, meta)?; // verified in pass 1; a race here is a hard error
-            shards_read += 1;
-            bytes_read += meta.payload_len;
-            let file = &meta.file;
-            let mut changed = false;
-
-            let sight = |report: &mut AuditReport,
-                             first: &mut Option<DesalignError>,
-                             repairs: &mut usize,
-                             class: DefectClass,
-                             loc: String,
-                             ctx: String| {
-                report.record(class);
-                if first.is_none() {
-                    *first = Some(DesalignError::new(class, loc, ctx));
-                }
-                if repair {
-                    *repairs += 1;
-                }
-            };
-
-            // Both sides share identical handling; (records, images,
-            // range, vocab, side label).
-            for side in 0..2 {
-                let (rel, attr, images, range, n, num_rel, num_attr, expected, label) = if side == 0 {
-                    (
-                        &mut shard.src_rel,
-                        &mut shard.src_attr,
-                        &mut shard.src_images,
-                        meta.src_range,
-                        manifest.source.num_entities,
-                        manifest.source.num_relations,
-                        manifest.source.num_attributes,
-                        src_expected,
-                        "source",
-                    )
-                } else {
-                    (
-                        &mut shard.tgt_rel,
-                        &mut shard.tgt_attr,
-                        &mut shard.tgt_images,
-                        meta.tgt_range,
-                        manifest.target.num_entities,
-                        manifest.target.num_relations,
-                        manifest.target.num_attributes,
-                        tgt_expected,
-                        "target",
-                    )
-                };
-
-                // Relation triples. Duplicates share a head entity, so a
-                // per-shard vet sees exactly the duplicates the global
-                // scan would (original order is preserved within a shard).
-                let mut rel_vet = RelTripleVet::new(n, num_rel);
-                let mut kept = Vec::with_capacity(rel.len());
-                for &(orig, (h, r, t)) in rel.iter() {
-                    match rel_vet.vet(h, r, t) {
-                        Some((class, ctx)) => {
-                            sight(&mut report, &mut first, &mut repairs, class, format!("{file}:{label}.rel_triples[{orig}]"), ctx);
-                            changed = true;
-                        }
-                        None => kept.push((orig, (h, r, t))),
-                    }
-                }
-                *rel = kept;
-
-                // Attribute triples.
-                let mut kept = Vec::with_capacity(attr.len());
-                for &(orig, (e, a)) in attr.iter() {
-                    match vet_attr_triple(e, a, n, num_attr) {
-                        Some((class, ctx)) => {
-                            sight(&mut report, &mut first, &mut repairs, class, format!("{file}:{label}.attr_triples[{orig}]"), ctx);
-                            changed = true;
-                        }
-                        None => kept.push((e, a)),
-                    }
-                }
-                if kept.len() != attr.len() {
-                    *attr = kept.iter().enumerate().map(|(j, &v)| (attr[j].0, v)).collect();
-                }
-
-                // Image rows, against the side's *global* majority dim.
-                for (off, slot) in images.iter_mut().enumerate() {
-                    let Some(row) = slot.as_ref() else { continue };
-                    if let Some((class, ctx)) = vet_image_row(row, expected) {
-                        sight(&mut report, &mut first, &mut repairs, class, format!("{file}:{label}.images[{}]", range.0 + off), ctx);
-                        if repair {
-                            *slot = None;
-                        }
-                        changed = true;
-                    }
-                }
-
-                // Informational missing-modality census over this shard's
-                // entity range (post-repair state), mirroring the
-                // in-memory auditor.
-                let mut has_attr = vec![false; range.1 - range.0];
-                for &(_, (e, _)) in attr.iter() {
-                    if e >= range.0 && e < range.1 {
-                        has_attr[e - range.0] = true;
-                    }
-                }
-                for off in 0..(range.1 - range.0) {
-                    if images[off].is_none() {
-                        report.record(DefectClass::MissingModality);
-                    }
-                    if !has_attr[off] {
-                        report.record(DefectClass::MissingModality);
-                    }
-                }
+            // It verified in pass 1, so this is a race with another writer.
+            Err(e) if self.verified[k] => Err(e),
+            Err(_) if self.repair => {
+                self.quarantined.push(meta.index);
+                Ok(None)
             }
-
-            // Drop pairs the global one-to-one scan rejected (their
-            // defects are recorded once, below, not per shard).
-            let before = shard.train_pairs.len() + shard.test_pairs.len();
-            shard.train_pairs.retain(|&(i, _)| !drop_pairs[0].contains(&i));
-            shard.test_pairs.retain(|&(i, _)| !drop_pairs[1].contains(&i));
-            if shard.train_pairs.len() + shard.test_pairs.len() != before {
-                changed = true;
-            }
-
-            if repair && changed {
-                let recs = ShardRecords {
-                    src_rel: shard.src_rel.clone(),
-                    src_attr: shard.src_attr.clone(),
-                    tgt_rel: shard.tgt_rel.clone(),
-                    tgt_attr: shard.tgt_attr.clone(),
-                    train: shard.train_pairs.clone(),
-                    test: shard.test_pairs.clone(),
-                };
-                let path = dir.join(&meta.file);
-                let (payload_len, checksum) = encode_shard(
-                    &path,
-                    meta.index,
-                    meta.src_range,
-                    meta.tgt_range,
-                    &recs,
-                    |e| shard.src_images[e - meta.src_range.0].clone(),
-                    |e| shard.tgt_images[e - meta.tgt_range.0].clone(),
-                )
-                .map_err(|e| DesalignError::io(path.display().to_string(), e))?;
-                meta.payload_len = payload_len;
-                meta.checksum = checksum;
-                shards_rewritten += 1;
-            }
+            Err(e) => Err(e.wrap(
+                DefectClass::Schema,
+                self.manifest.name.clone(),
+                format!("strict streaming audit: shard {} is unreadable", meta.index),
+            )),
         }
+    }
 
-        // Replay the pair defects into the census (after the per-shard
-        // defects, matching the in-memory sighting order: graphs first,
-        // pairs last).
-        for (class, loc, ctx) in pair_defects {
-            report.record(class);
-            if first.is_none() {
-                first = Some(DesalignError::new(class, loc, ctx));
-            }
-            if repair {
-                repairs += 1;
-            }
+    fn prefix(&self, k: usize) -> String {
+        format!("{}:", self.manifest.shards[k].file)
+    }
+
+    fn put(&mut self, k: usize, shard: Shard, changed: bool) -> Result<(), DesalignError> {
+        if !changed {
+            return Ok(());
         }
-        report.repairs = repairs;
+        let meta = &mut self.manifest.shards[k];
+        let Shard { src_rel, src_attr, mut src_images, tgt_rel, tgt_attr, mut tgt_images, train_pairs, test_pairs, .. } =
+            shard;
+        let recs = ShardRecords { src_rel, src_attr, tgt_rel, tgt_attr, train: train_pairs, test: test_pairs };
+        let path = self.dir.join(&meta.file);
+        let (src0, tgt0) = (meta.src_range.0, meta.tgt_range.0);
+        let (payload_len, checksum) = encode_shard(
+            &path,
+            meta.index,
+            meta.src_range,
+            meta.tgt_range,
+            &recs,
+            |e| src_images[e - src0].take(),
+            |e| tgt_images[e - tgt0].take(),
+        )
+        .map_err(|e| DesalignError::io(path.display().to_string(), e))?;
+        meta.payload_len = payload_len;
+        meta.checksum = checksum;
+        self.shards_rewritten += 1;
+        Ok(())
+    }
 
-        // --- manifest + telemetry -------------------------------------
-        if repair && quarantined.is_empty() && shards_rewritten > 0 {
-            manifest.dataset_fingerprint = streaming_fingerprint(dir, &manifest)?;
-            write_manifest(dir, &manifest)?;
-        } else if repair && shards_rewritten > 0 {
+    fn finish(&mut self, report: &AuditReport) -> Result<(), DesalignError> {
+        if self.shards_rewritten > 0 {
             // Quarantined shards make the fingerprint uncomputable; keep
             // the stale one (assembly refuses the directory anyway) but
             // persist the rewritten shards' new checksums.
-            write_manifest(dir, &manifest)?;
-        }
-
-        for class in DefectClass::ALL {
-            let n = report.count(class);
-            if n > 0 {
-                desalign_telemetry::counter(class.counter_name()).add(n as u64);
+            if self.quarantined.is_empty() {
+                self.manifest.dataset_fingerprint = streaming_fingerprint(self.dir, &self.manifest)?;
             }
+            write_manifest(self.dir, &self.manifest)?;
         }
-        desalign_telemetry::counter("shard.read").add(shards_read as u64);
-        desalign_telemetry::counter("shard.bytes_read").add(bytes_read);
-        desalign_telemetry::counter("shard.rewritten").add(shards_rewritten as u64);
-        desalign_telemetry::counter("shard.quarantined").add(quarantined.len() as u64);
-
-        let stream_report = StreamReport {
-            audit: report,
-            shards_read,
-            shards_rewritten,
-            quarantined,
-            peak_payload_bytes: peak_payload,
-            fingerprint: manifest.dataset_fingerprint,
-        };
-        desalign_telemetry::emit(&stream_report.to_json());
-
-        if !repair && !stream_report.audit.is_clean() {
-            let summary = stream_report.audit.summary();
-            let total = stream_report.audit.total_defects();
-            let err = first.expect("defects imply a first sighting").wrap(
-                DefectClass::Schema,
-                manifest.name.clone(),
-                format!("strict audit found {total} defect(s): {summary}"),
-            );
-            return Err(err);
-        }
-        Ok(stream_report)
+        desalign_telemetry::counter("shard.read").add(self.shards_read as u64);
+        desalign_telemetry::counter("shard.bytes_read").add(self.bytes_read);
+        desalign_telemetry::counter("shard.rewritten").add(self.shards_rewritten as u64);
+        desalign_telemetry::counter("shard.quarantined").add(self.quarantined.len() as u64);
+        desalign_telemetry::emit(&self.report(report.clone()).to_json());
+        Ok(())
     }
 }
 
@@ -507,26 +349,6 @@ impl ShardManifest {
     }
 }
 
-/// FNV-1a 64 fold, byte-compatible with [`dataset_fingerprint`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-}
-
 /// Computes [`dataset_fingerprint`] of the dataset a shard directory
 /// assembles to — **without materializing the feature rows**: integer
 /// records are collected and re-ordered in memory (O(triples + pairs)
@@ -559,35 +381,35 @@ pub fn streaming_fingerprint(dir: &Path, manifest: &ShardManifest) -> Result<u64
         list.sort_unstable_by_key(|&(i, _)| i);
     }
 
-    let mut h = Fnv::new();
-    h.eat(manifest.name.as_bytes());
+    let mut h = Fnv64::new();
+    h.write(manifest.name.as_bytes());
     // Passes 2–3: per side, hash sizes + integer lists, then stream the
     // side's image rows shard-at-a-time in entity order.
     for (side, meta) in [(0usize, manifest.source), (1, manifest.target)] {
         let n = meta.num_entities;
         for v in [n, meta.num_relations, meta.num_attributes, rel[side].len(), attr[side].len(), n] {
-            h.eat_u64(v as u64);
+            h.write_u64(v as u64);
         }
         for &(_, (a, b, c)) in &rel[side] {
-            h.eat_u64(a as u64);
-            h.eat_u64(b as u64);
-            h.eat_u64(c as u64);
+            h.write_u64(a as u64);
+            h.write_u64(b as u64);
+            h.write_u64(c as u64);
         }
         for &(_, (a, b)) in &attr[side] {
-            h.eat_u64(a as u64);
-            h.eat_u64(b as u64);
+            h.write_u64(a as u64);
+            h.write_u64(b as u64);
         }
         for shard_meta in &manifest.shards {
             let shard = load_verified_shard(dir, shard_meta)?;
             let images = if side == 0 { &shard.src_images } else { &shard.tgt_images };
             for img in images {
                 match img {
-                    None => h.eat(&[0]),
+                    None => h.write(&[0]),
                     Some(row) => {
-                        h.eat(&[1]);
-                        h.eat_u64(row.len() as u64);
+                        h.write(&[1]);
+                        h.write_u64(row.len() as u64);
                         for &v in row {
-                            h.eat(&v.to_bits().to_le_bytes());
+                            h.write(&v.to_bits().to_le_bytes());
                         }
                     }
                 }
@@ -595,13 +417,13 @@ pub fn streaming_fingerprint(dir: &Path, manifest: &ShardManifest) -> Result<u64
         }
     }
     for list in &pairs {
-        h.eat_u64(list.len() as u64);
+        h.write_u64(list.len() as u64);
         for &(_, (a, b)) in list {
-            h.eat_u64(a as u64);
-            h.eat_u64(b as u64);
+            h.write_u64(a as u64);
+            h.write_u64(b as u64);
         }
     }
-    Ok(h.0)
+    Ok(h.finish())
 }
 
 #[cfg(test)]

@@ -349,16 +349,8 @@ impl SynthConfig {
             version: SHARD_FORMAT_VERSION,
             name: ds.name.clone(),
             dataset_fingerprint: 0,
-            source: SideMeta {
-                num_entities: n_s,
-                num_relations: ds.source.num_relations,
-                num_attributes: ds.source.num_attributes,
-            },
-            target: SideMeta {
-                num_entities: n_t,
-                num_relations: ds.target.num_relations,
-                num_attributes: ds.target.num_attributes,
-            },
+            source: SideMeta::of(&ds.source),
+            target: SideMeta::of(&ds.target),
             n_train: ds.train_pairs.len(),
             n_test: ds.test_pairs.len(),
             shard_entities,

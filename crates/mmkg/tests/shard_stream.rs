@@ -12,14 +12,16 @@
 //!    quarantine, never a panic.
 //! 3. **Quarantine isolation** — a destroyed shard is quarantined without
 //!    touching the healthy shards' bytes.
-//! 4. **Repair equivalence** — streaming-repairing a sharded corrupted
-//!    dataset assembles to the same fingerprint the in-memory repair
-//!    produces on the same corrupted dataset.
+//! 4. **Repair equivalence** — for every corruption kind, streaming-
+//!    repairing a sharded corrupted dataset assembles to the same
+//!    fingerprint the in-memory repair produces on the same corrupted
+//!    dataset, and the Strict censuses of the two forms are equal.
 
 use desalign_mmkg::{
-    dataset_fingerprint, read_manifest, read_shard, shard_file_name, write_shards, AuditPolicy, DatasetSpec,
-    StreamingAuditor, SynthConfig,
+    dataset_fingerprint, read_manifest, read_shard, shard_file_name, write_shards, AuditPolicy, AuditReport,
+    DatasetSpec, StreamingAuditor, SynthConfig,
 };
+use desalign_util::DesalignError;
 use desalign_testkit::{check, corrupt_dataset, corrupt_file, ensure, ensure_eq, CorruptionKind, SliceRandom};
 use std::path::PathBuf;
 
@@ -200,43 +202,59 @@ fn quarantine_isolates_the_damaged_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A Strict audit's census as text: the summary of a clean report, or
+/// the census line of the failure.
+fn strict_census(result: Result<AuditReport, DesalignError>) -> String {
+    match result {
+        Ok(report) => report.summary(),
+        Err(e) => e.context,
+    }
+}
+
 #[test]
 fn streaming_repair_matches_in_memory_repair() {
     check(
         "streaming_repair_equivalence",
-        10,
-        |rng| {
-            let kind = *CorruptionKind::ALL.choose(rng).expect("non-empty kind list");
-            (kind, rng.gen_range(40..90usize), rng.gen_range(0.05f32..0.5), rng.gen_range(0..10_000u64))
-        },
-        |&(kind, scale, severity, seed)| {
-            let mut ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(scale).generate(seed);
-            let applied = corrupt_dataset(&mut ds, kind, severity, seed);
-            ensure!(applied > 0, "{} applied nothing", kind.name());
+        3,
+        |rng| (rng.gen_range(40..90usize), rng.gen_range(0.05f32..0.5), rng.gen_range(0..10_000u64)),
+        |&(scale, severity, seed)| {
+            for kind in CorruptionKind::ALL {
+                let mut ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(scale).generate(seed);
+                let applied = corrupt_dataset(&mut ds, kind, severity, seed);
+                ensure!(applied > 0, "{} applied nothing", kind.name());
 
-            // Stream side: shard the *corrupted* dataset, repair it
-            // shard-by-shard, assemble.
-            let dir = temp_dir(&format!("eq-{seed}-{scale}"));
-            write_shards(&ds, &dir, 23).map_err(|e| format!("write: {e}"))?;
-            let report =
-                StreamingAuditor::new(AuditPolicy::Repair).audit_dir(&dir).map_err(|e| format!("stream repair: {e}"))?;
-            ensure!(report.quarantined.is_empty(), "semantic defects must repair, not quarantine");
-            let assembled = read_manifest(&dir)
-                .map_err(|e| format!("manifest: {e}"))?
-                .to_dataset(&dir)
-                .map_err(|e| format!("assemble: {e}"))?;
+                // Stream side: shard the *corrupted* dataset; Strict-audit
+                // it, then repair it shard-by-shard and assemble.
+                let dir = temp_dir(&format!("eq-{seed}-{scale}-{}", kind.name()));
+                write_shards(&ds, &dir, 23).map_err(|e| format!("write: {e}"))?;
+                let stream_strict = strict_census(StreamingAuditor::new(AuditPolicy::Strict).audit_dir(&dir).map(|r| r.audit));
+                let report = StreamingAuditor::new(AuditPolicy::Repair)
+                    .audit_dir(&dir)
+                    .map_err(|e| format!("{} stream repair: {e}", kind.name()))?;
+                ensure!(report.quarantined.is_empty(), "semantic defects must repair, not quarantine");
+                let assembled = read_manifest(&dir)
+                    .map_err(|e| format!("manifest: {e}"))?
+                    .to_dataset(&dir)
+                    .map_err(|e| format!("assemble: {e}"))?;
 
-            // Memory side: the established in-memory repair.
-            let mem_report = ds.audit(AuditPolicy::Repair).map_err(|e| format!("mem repair: {e}"))?;
+                // Memory side: the same audits over the resident dataset.
+                let mem_strict = strict_census(ds.clone().audit(AuditPolicy::Strict));
+                ensure_eq!(stream_strict, mem_strict);
+                let mem_report = ds.audit(AuditPolicy::Repair).map_err(|e| format!("{} mem repair: {e}", kind.name()))?;
 
-            ensure_eq!(dataset_fingerprint(&assembled), dataset_fingerprint(&ds));
-            if !kind.is_degradation() {
-                ensure!(report.audit.total_defects() > 0, "{} invisible to the streaming audit", kind.name());
-                ensure!(mem_report.total_defects() > 0);
+                ensure!(
+                    dataset_fingerprint(&assembled) == dataset_fingerprint(&ds),
+                    "{}: streamed and in-memory repairs differ",
+                    kind.name()
+                );
+                if !kind.is_degradation() {
+                    ensure!(report.audit.total_defects() > 0, "{} invisible to the streaming audit", kind.name());
+                    ensure!(mem_report.total_defects() > 0);
+                }
+                // Both repaired datasets pass strict.
+                assembled.clone().audit(AuditPolicy::Strict).map_err(|e| format!("assembled fails strict: {e}"))?;
+                std::fs::remove_dir_all(&dir).ok();
             }
-            // Both repaired datasets pass strict.
-            assembled.clone().audit(AuditPolicy::Strict).map_err(|e| format!("assembled fails strict: {e}"))?;
-            std::fs::remove_dir_all(&dir).ok();
             Ok(())
         },
     );

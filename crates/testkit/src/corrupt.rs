@@ -25,9 +25,11 @@ use desalign_tensor::{rng_from_seed, Rng64};
 
 /// One class of injectable dataset damage.
 ///
-/// The first group corrupts feature rows, the second the triple lists,
-/// the third the alignment pair lists; `VisualDrop` / `TextDrop` degrade
-/// modality coverage without introducing structural defects.
+/// The first group corrupts feature rows, the second the relation-triple
+/// lists, the third the alignment pair lists, the fourth the attribute
+/// triples; `VisualDrop` / `TextDrop` degrade modality coverage without
+/// introducing structural defects. New kinds are appended, so the RNG
+/// stream of every existing kind (seeded from `seed ^ kind`) stays put.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CorruptionKind {
     /// Overwrite one element of an image row with NaN.
@@ -54,11 +56,17 @@ pub enum CorruptionKind {
     PairOutOfRange,
     /// Append copies of existing pairs (breaks the one-to-one mapping).
     PairDuplicate,
+    /// Insert attribute triples whose entity does not exist, at random
+    /// positions of the list.
+    DanglingAttribute,
+    /// Insert attribute triples with an out-of-vocabulary attribute id on
+    /// existing entities, at random positions of the list.
+    UnknownAttribute,
 }
 
 impl CorruptionKind {
     /// Every corruption kind, for exhaustive sweeps.
-    pub const ALL: [CorruptionKind; 12] = [
+    pub const ALL: [CorruptionKind; 14] = [
         CorruptionKind::NanFeature,
         CorruptionKind::InfFeature,
         CorruptionKind::ZeroNormFeature,
@@ -71,6 +79,8 @@ impl CorruptionKind {
         CorruptionKind::DuplicateTriple,
         CorruptionKind::PairOutOfRange,
         CorruptionKind::PairDuplicate,
+        CorruptionKind::DanglingAttribute,
+        CorruptionKind::UnknownAttribute,
     ];
 
     /// Stable kebab-case name (used as a JSON key by the robustness bench).
@@ -88,6 +98,8 @@ impl CorruptionKind {
             CorruptionKind::DuplicateTriple => "duplicate-triple",
             CorruptionKind::PairOutOfRange => "pair-out-of-range",
             CorruptionKind::PairDuplicate => "pair-duplicate",
+            CorruptionKind::DanglingAttribute => "dangling-attribute",
+            CorruptionKind::UnknownAttribute => "unknown-attribute",
         }
     }
 
@@ -221,6 +233,12 @@ pub fn corrupt_dataset(ds: &mut AlignmentDataset, kind: CorruptionKind, severity
             }
             count
         }
+        CorruptionKind::DanglingAttribute => insert_attr_triples(ds, severity, &mut rng, |rng, kg| {
+            (kg.num_entities + rng.gen_range(0..16usize), rng.gen_range(0..kg.num_attributes.max(1)))
+        }),
+        CorruptionKind::UnknownAttribute => insert_attr_triples(ds, severity, &mut rng, |rng, kg| {
+            (rng.gen_range(0..kg.num_entities.max(1)), kg.num_attributes + rng.gen_range(0..16usize))
+        }),
     }
 }
 
@@ -259,6 +277,29 @@ fn append_triples(
         for _ in 0..count {
             let triple = make(rng, kg);
             kg.rel_triples.push(triple);
+            applied += 1;
+        }
+    }
+    applied
+}
+
+/// Inserts `budget(existing-attribute-triples, severity)` triples built
+/// by `make` into each KG side, each at a random list position (a defect
+/// in front of healthy triples is what exposes a repair that renumbers the
+/// survivors). Returns how many were inserted.
+fn insert_attr_triples(
+    ds: &mut AlignmentDataset,
+    severity: f32,
+    rng: &mut Rng64,
+    mut make: impl FnMut(&mut Rng64, &desalign_mmkg::Mmkg) -> (usize, usize),
+) -> usize {
+    let mut applied = 0;
+    for kg in [&mut ds.source, &mut ds.target] {
+        let count = budget(kg.attr_triples.len().max(1), severity);
+        for _ in 0..count {
+            let triple = make(rng, kg);
+            let at = rng.gen_range(0..kg.attr_triples.len() + 1);
+            kg.attr_triples.insert(at, triple);
             applied += 1;
         }
     }
@@ -316,7 +357,7 @@ pub fn mutate_bytes(bytes: &[u8], mutations: usize, seed: u64) -> Vec<u8> {
 /// shorter or longer than the original). Returns the new length.
 ///
 /// This is the shard-level fuzzing entry point: the streaming auditor's
-/// hostile-shard sweeps corrupt individual `shard-*.bin` files this way
+/// hostile-shard tests corrupt individual `shard-*.bin` files this way
 /// and assert that reads never panic — every damaged shard either fails
 /// its frame/checksum verification with a typed error or is quarantined.
 pub fn corrupt_file(path: &std::path::Path, mutations: usize, seed: u64) -> std::io::Result<u64> {

@@ -47,20 +47,11 @@ pub const BASE_SEED: u64 = 0xDE5A_1167_0000_0001;
 /// Upper bound on greedy shrink adoptions before reporting.
 const MAX_SHRINK_STEPS: usize = 200;
 
-/// FNV-1a hash of the property name — gives each property its own
-/// deterministic stream without global state.
-fn fnv1a(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The seed that regenerates case `i` of property `name`.
+/// The seed that regenerates case `i` of property `name`. Hashing the
+/// name (FNV-1a) gives each property its own deterministic stream without
+/// global state.
 pub fn case_seed(name: &str, case: u64) -> u64 {
-    BASE_SEED ^ fnv1a(name) ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    BASE_SEED ^ desalign_util::checksum64(name.as_bytes()) ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 fn render_input<T: Debug>(input: &T) -> String {

@@ -84,17 +84,60 @@ pub const FOOTER_MAGIC: [u8; 8] = *b"DESACKPT";
 /// Total footer size in bytes: `len (8) + checksum (8) + magic (8)`.
 pub const FOOTER_LEN: usize = 24;
 
+/// A running FNV-1a 64-bit hash: the frame checksum, the dataset
+/// fingerprints and the pipeline fingerprints all fold their bytes
+/// through this one implementation.
+///
+/// ```
+/// let mut h = desalign_util::Fnv64::new();
+/// h.write(b"split ");
+/// h.write(b"input");
+/// assert_eq!(h.finish(), desalign_util::checksum64(b"split input"));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// The FNV-1a offset basis (the hash of no bytes).
+    pub const fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the hash, one byte at a time.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds `v` as 8 little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The hash of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// FNV-1a 64-bit checksum over a byte slice — the frame integrity hash.
 ///
 /// Not cryptographic; it guards against torn writes and storage bit rot,
 /// not adversaries.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Wraps `payload` in the checksummed frame (payload + 24-byte footer).
@@ -205,7 +248,7 @@ pub struct FrameWriter {
     tmp: PathBuf,
     file: io::BufWriter<File>,
     len: u64,
-    hash: u64,
+    hash: Fnv64,
 }
 
 impl FrameWriter {
@@ -218,7 +261,7 @@ impl FrameWriter {
             tmp,
             file: io::BufWriter::new(file),
             len: 0,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: Fnv64::new(),
         })
     }
 
@@ -240,10 +283,7 @@ impl FrameWriter {
                 FaultAction::Err(_) => return Err(fault.to_io_error("atomicio.frame.write")),
             }
         }
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.hash.write(bytes);
         self.len += bytes.len() as u64;
         self.file.write_all(bytes)
     }
@@ -257,6 +297,7 @@ impl FrameWriter {
     /// destination. Returns the payload checksum.
     pub fn finish(self) -> io::Result<u64> {
         let Self { path, tmp, mut file, len, hash } = self;
+        let hash = hash.finish();
         // Failpoint `atomicio.frame.finish`: fail before the footer +
         // rename make the new frame visible — the destination keeps its
         // previous generation, exactly like a kill at this instant.

@@ -24,6 +24,6 @@ pub mod atomicio;
 pub mod error;
 pub mod json;
 
-pub use atomicio::{atomic_write, checksum64, frame, read_verified, temp_path, unframe, FrameWriter, FOOTER_LEN, FOOTER_MAGIC};
+pub use atomicio::{atomic_write, checksum64, frame, Fnv64, read_verified, temp_path, unframe, FrameWriter, FOOTER_LEN, FOOTER_MAGIC};
 pub use error::{DefectClass, DesalignError};
 pub use json::{u64_from_json, u64_to_json, FromJson, Json, JsonError, ToJson};
