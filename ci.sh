@@ -10,9 +10,9 @@
 # count and with telemetry on (tests/determinism.rs), and the torn-write
 # resume (crates/core/tests/crash_safety.rs). Those legs build at the test
 # profile; the pins are run once more under the release codegen below.
-# What else stays here needs more than one process, or a bench bin run end
-# to end. Each bench bin checks its own result after writing its artifact
-# and exits non-zero on any failure.
+# What else stays here needs more than one process, or a bench run end to
+# end. Each self-checking `desalign-bench` subcommand checks its own result
+# after writing its artifact and exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -37,6 +37,11 @@ cargo test -q --offline --release --test determinism
 echo "==> cargo doc --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
+# Lint gate: clippy's deny-by-default lints (correctness bugs) fail the
+# build; its warnings are reported, not fatal.
+echo "==> cargo clippy --offline (errors fail, warnings reported)"
+cargo clippy -q --offline --workspace --all-targets
+
 # Bench smoke runs: tiny scales, artifacts redirected to scratch files so
 # the committed full-scale BENCH_*.json files are untouched.
 
@@ -46,7 +51,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 echo "==> robustness_sweep (smoke)"
 robustness_out=$(mktemp)
 DESALIGN_SCALE=40 DESALIGN_EPOCHS=2 DESALIGN_ROBUSTNESS_OUT="$robustness_out" \
-    cargo run -q --offline --release -p desalign-bench --bin robustness_sweep >/dev/null
+    cargo run -q --offline --release -p desalign-bench -- robustness_sweep >/dev/null
 rm -f "$robustness_out"
 
 # Telemetry report: the span/counter/sink wiring end to end; fails unless
@@ -56,7 +61,7 @@ telemetry_json=$(mktemp)
 telemetry_jsonl=$(mktemp)
 DESALIGN_SCALE=40 DESALIGN_EPOCHS=3 \
     DESALIGN_TELEMETRY_OUT="$telemetry_json" DESALIGN_METRICS_OUT="$telemetry_jsonl" \
-    cargo run -q --offline --release -p desalign-bench --bin telemetry_report >/dev/null
+    cargo run -q --offline --release -p desalign-bench -- telemetry_report >/dev/null
 rm -f "$telemetry_json" "$telemetry_jsonl"
 
 # Kernel bench: shipped and naive kernels agree bit for bit, every median is
@@ -74,7 +79,7 @@ echo "==> retrieval_bench (smoke)"
 retrieval_out=$(mktemp)
 DESALIGN_RETRIEVAL_SIZES=2000 DESALIGN_RETRIEVAL_QUERIES=200 DESALIGN_RETRIEVAL_SAMPLES=2 \
     DESALIGN_RETRIEVAL_OUT="$retrieval_out" \
-    cargo run -q --offline --release -p desalign-bench --bin retrieval_bench >/dev/null
+    cargo run -q --offline --release -p desalign-bench -- retrieval_bench >/dev/null
 rm -f "$retrieval_out"
 
 # Serving restart probe (docs/SERVING.md "Determinism at the edge"): bring
@@ -163,7 +168,7 @@ echo "==> streaming_bench (smoke)"
 streaming_out=$(mktemp)
 DESALIGN_STREAMING_SIZES=500,2000 DESALIGN_STREAMING_SHARD_ENTITIES=200 \
     DESALIGN_STREAMING_SAMPLES=2 DESALIGN_STREAMING_OUT="$streaming_out" \
-    cargo run -q --offline --release -p desalign-bench --bin streaming_bench >/dev/null
+    cargo run -q --offline --release -p desalign-bench -- streaming_bench >/dev/null
 rm -f "$streaming_out"
 
 # Formatting is checked only when a rustfmt binary is installed — it is not

@@ -1,20 +1,28 @@
-//! Shared experiment harness for reproducing every table and figure of the
-//! paper.
+//! Experiment harness reproducing every table and figure of the paper.
 //!
-//! Each binary in `src/bin/` regenerates one artifact (see DESIGN.md §4 for
-//! the index). They share this module: a method registry, a scale profile
-//! controlled by environment variables, and fixed-width table printing that
-//! mirrors the paper's layout.
+//! One binary, `desalign-bench <artifact>`, dispatches to the artifact
+//! bodies in this library (see DESIGN.md §4 for the index): the paper's
+//! tables and figures in [`paper`], and the self-checking benches
+//! [`retrieval_bench`], [`robustness_sweep`], [`streaming_bench`] and
+//! [`telemetry_report`]. They share this module: a method registry, a scale
+//! profile controlled by environment variables, and fixed-width table
+//! printing that mirrors the paper's layout.
 //!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional; an unparsable value is an error):
 //! - `DESALIGN_SCALE` — entities on the larger side of each synthetic pair
-//!   (default 300; the paper's datasets are ~15–20 k);
+//!   (default 400; the paper's datasets are ~15–20 k);
 //! - `DESALIGN_EPOCHS` — training epochs per fit (default 60; paper 500);
+//! - `DESALIGN_DIM` — unified hidden dimension (default 64);
 //! - `DESALIGN_SEED` — master RNG seed (default 17).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod paper;
+pub mod retrieval_bench;
+pub mod robustness_sweep;
+pub mod streaming_bench;
+pub mod telemetry_report;
 pub mod timing;
 
 use desalign_baselines::{
@@ -25,6 +33,8 @@ use desalign_baselines::{
 use desalign_core::DesalignConfig;
 use desalign_eval::AlignmentMetrics;
 use desalign_mmkg::AlignmentDataset;
+use std::path::Path;
+use std::str::FromStr;
 
 /// Scale and budget profile for one harness run.
 #[derive(Clone, Copy, Debug)]
@@ -40,15 +50,28 @@ pub struct HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Reads the profile from the environment (see crate docs).
+    /// Reads the profile from the environment (see crate docs), or exits
+    /// with a one-line error naming an unparsable variable.
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d);
-        Self {
-            scale: get("DESALIGN_SCALE", 300),
-            epochs: get("DESALIGN_EPOCHS", 60),
-            hidden_dim: get("DESALIGN_DIM", 64),
-            seed: get("DESALIGN_SEED", 17) as u64,
+        or_die("harness profile", Self::from_lookup(|k| std::env::var(k).ok()))
+    }
+
+    /// The profile from `lookup`, which maps a variable name to its value
+    /// if set. Unset variables take the defaults; a set but unparsable one
+    /// is an error.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        fn get<T: FromStr>(lookup: &impl Fn(&str) -> Option<String>, key: &str, default: T) -> Result<T, String> {
+            match lookup(key) {
+                None => Ok(default),
+                Some(v) => v.parse().map_err(|_| format!("{key}={v:?} is not a non-negative integer")),
+            }
         }
+        Ok(Self {
+            scale: get(&lookup, "DESALIGN_SCALE", 400)?,
+            epochs: get(&lookup, "DESALIGN_EPOCHS", 60)?,
+            hidden_dim: get(&lookup, "DESALIGN_DIM", 64)?,
+            seed: get(&lookup, "DESALIGN_SEED", 17)?,
+        })
     }
 
     /// The DESAlign configuration for this profile.
@@ -269,8 +292,8 @@ pub fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Unwraps a result in a bench `main`, or prints `error: <what>: <cause>`
-/// to stderr and exits nonzero. The bench bins use this instead of
+/// Unwraps a result in the bench binary, or prints `error: <what>: <cause>`
+/// to stderr and exits nonzero. The harness uses this instead of
 /// `unwrap`/`expect` on I/O so a full disk or missing directory produces a
 /// readable one-line failure, not a panic with a backtrace.
 pub fn or_die<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
@@ -282,7 +305,7 @@ pub fn or_die<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
 
 /// Ends a bench run that checked its own result: prints each failure as
 /// `<what> check FAILED: <failure>` to stderr and exits nonzero when there
-/// is any. Bins call it after writing their artifact, so a failed run
+/// is any. Benches call it after writing their artifact, so a failed run
 /// still leaves the numbers behind for inspection.
 pub fn exit_on_failures(what: &str, failures: &[String]) {
     if failures.is_empty() {
@@ -302,8 +325,9 @@ pub fn non_finite_failures(doc: &desalign_util::Json) -> Vec<String> {
 
 /// Serializes results to JSON, creating the parent directory; the fallible
 /// core of [`dump_json`].
-pub fn try_dump_json(path: &str, value: &desalign_util::Json) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent().filter(|p| !p.as_os_str().is_empty()) {
+pub fn try_dump_json(path: impl AsRef<Path>, value: &desalign_util::Json) -> std::io::Result<()> {
+    let path = path.as_ref();
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(path, value.to_string())
@@ -312,8 +336,24 @@ pub fn try_dump_json(path: &str, value: &desalign_util::Json) -> std::io::Result
 /// Serializes results to JSON next to stdout output so EXPERIMENTS.md can
 /// reference machine-readable artifacts. Exits nonzero on I/O failure —
 /// a bench run whose artifact did not land must not look green.
-pub fn dump_json(path: &str, value: &desalign_util::Json) {
-    or_die(&format!("write {path}"), try_dump_json(path, value));
+pub fn dump_json(path: impl AsRef<Path>, value: &desalign_util::Json) {
+    let path = path.as_ref();
+    or_die(&format!("write {}", path.display()), try_dump_json(path, value));
+}
+
+/// A bench knob read from the environment: `name` parsed as a count, or
+/// `default` when it is unset or unparsable.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
+}
+
+/// A comma-separated list of positive sizes from the environment, or
+/// `default` when `name` is unset; unparsable and zero entries are skipped.
+pub fn env_sizes(name: &str, default: &[usize]) -> Vec<usize> {
+    match std::env::var(name) {
+        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&n| n > 0).collect(),
+        Err(_) => default.to_vec(),
+    }
 }
 
 /// Converts metrics to a JSON object.
@@ -324,4 +364,36 @@ pub fn metrics_json(m: &AlignmentMetrics) -> desalign_util::Json {
         "mrr": m.mrr,
         "queries": m.num_queries,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn profile(vars: &[(&str, &str)]) -> Result<HarnessConfig, String> {
+        HarnessConfig::from_lookup(|k| vars.iter().find(|(name, _)| *name == k).map(|(_, v)| v.to_string()))
+    }
+
+    #[test]
+    fn unset_variables_take_the_defaults() {
+        let h = profile(&[]).unwrap();
+        assert_eq!((h.scale, h.epochs, h.hidden_dim, h.seed), (400, 60, 64, 17));
+    }
+
+    #[test]
+    fn set_variables_override_the_defaults() {
+        let h = profile(&[("DESALIGN_SCALE", "40"), ("DESALIGN_EPOCHS", "2"), ("DESALIGN_DIM", "16"), ("DESALIGN_SEED", "99")])
+            .unwrap();
+        assert_eq!((h.scale, h.epochs, h.hidden_dim, h.seed), (40, 2, 16, 99));
+    }
+
+    #[test]
+    fn an_unparsable_variable_is_an_error_naming_it() {
+        for key in ["DESALIGN_SCALE", "DESALIGN_EPOCHS", "DESALIGN_DIM", "DESALIGN_SEED"] {
+            for bad in ["15k", "", "-1", "2.5"] {
+                let err = profile(&[(key, bad)]).expect_err("unparsable value accepted");
+                assert!(err.starts_with(&format!("{key}=")), "{err}");
+            }
+        }
+    }
 }

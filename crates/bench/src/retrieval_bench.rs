@@ -29,8 +29,8 @@
 //! non-zero unless recall@10 ≥ 0.95, every QPS is finite and positive, and
 //! the artifact holds no non-finite number.
 
-use desalign_bench::timing::bench_stats;
-use desalign_bench::{dump_json, exit_on_failures, non_finite_failures, or_die};
+use crate::timing::bench_stats;
+use crate::{cpu_model, dump_json, env_sizes, env_usize, exit_on_failures, non_finite_failures, or_die};
 use desalign_eval::{IndexKind, ItemIndex, IvfParams, RetrievalConfig};
 use desalign_tensor::{rng_from_seed, Matrix, Rng64};
 use desalign_util::{json, Json};
@@ -44,17 +44,6 @@ const DIM: usize = 64;
 const CLUSTERS: usize = 64;
 /// IVF cells probed per query.
 const NPROBE: usize = 16;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-fn env_sizes() -> Vec<usize> {
-    match std::env::var("DESALIGN_RETRIEVAL_SIZES") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&n| n > 0).collect(),
-        Err(_) => vec![1_000, 10_000, 100_000],
-    }
-}
 
 /// Clustered embedding table: `n` rows scattered around `clusters` anchors
 /// — the regime an IVF index is built for (uniform noise has no cell
@@ -165,8 +154,10 @@ fn run_size(n: usize, nq: usize, samples: usize) -> SizeReport {
     SizeReport { row, recall_at_10, qps: [qps_exact, qps_ivf] }
 }
 
-fn main() {
-    let sizes = env_sizes();
+/// Runs the bench, writes the artifact, and exits non-zero if a check
+/// fails.
+pub fn run() {
+    let sizes = env_sizes("DESALIGN_RETRIEVAL_SIZES", &[1_000, 10_000, 100_000]);
     let nq = env_usize("DESALIGN_RETRIEVAL_QUERIES", 256);
     let samples = env_usize("DESALIGN_RETRIEVAL_SAMPLES", 3);
     let out = std::env::var("DESALIGN_RETRIEVAL_OUT").unwrap_or_else(|_| "BENCH_retrieval.json".into());
@@ -187,7 +178,7 @@ fn main() {
 
     let doc = json!({
         "host": json!({
-            "cpu_model": desalign_bench::cpu_model(),
+            "cpu_model": cpu_model(),
             "host_threads": std::thread::available_parallelism().map_or(1, |n| n.get()),
             "parallel_threads": desalign_parallel::current_threads(),
         }),

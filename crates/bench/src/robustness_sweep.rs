@@ -13,13 +13,13 @@
 //!
 //! Each cell records `H@1 / H@10 / MRR` plus the final sampled Dirichlet
 //! energies. A corruption class that destabilizes training shows up as a
-//! non-finite number in the artifact: the bin writes the artifact, then
+//! non-finite number in the artifact: the run writes the artifact, then
 //! names every such number and exits non-zero.
 //!
 //! Output path: `DESALIGN_ROBUSTNESS_OUT` (default
 //! `results/BENCH_robustness.json`).
 
-use desalign_bench::{dump_json, exit_on_failures, metrics_json, non_finite_failures, or_die, HarnessConfig};
+use crate::{dump_json, exit_on_failures, metrics_json, non_finite_failures, or_die, HarnessConfig};
 use desalign_core::{DesalignConfig, DesalignModel, TrainReport};
 use desalign_mmkg::{AlignmentDataset, AuditPolicy, DatasetSpec, SynthConfig};
 use desalign_testkit::{corrupt_dataset, CorruptionKind};
@@ -54,7 +54,9 @@ fn run_cell(h: &HarnessConfig, ds: &AlignmentDataset) -> Json {
     })
 }
 
-fn main() {
+/// Runs the sweep under the environment's harness profile, writes the
+/// artifact, and exits non-zero if it holds a non-finite number.
+pub fn run() {
     let h = HarnessConfig::from_env();
     let spec = DatasetSpec::FbDb15k;
 

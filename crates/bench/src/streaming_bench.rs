@@ -34,8 +34,8 @@
 //! shard, and (across scales) the shard peak stays flat while the JSON
 //! file keeps growing.
 
-use desalign_bench::timing::bench_stats;
-use desalign_bench::{dump_json, exit_on_failures, or_die};
+use crate::timing::bench_stats;
+use crate::{dump_json, env_sizes, env_usize, exit_on_failures, or_die};
 use desalign_mmkg::{
     dataset_fingerprint, load_dataset_json, read_manifest, save_dataset_json, AuditPolicy, DatasetSpec,
     StreamingAuditor, SynthConfig,
@@ -46,17 +46,6 @@ use std::time::Instant;
 
 /// Generator seed of every scale.
 const SEED: u64 = 17;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-fn env_sizes() -> Vec<usize> {
-    match std::env::var("DESALIGN_STREAMING_SIZES") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&n| n > 0).collect(),
-        Err(_) => vec![2_000, 8_000],
-    }
-}
 
 /// Process-wide peak RSS in bytes from `/proc/self/status`, if available.
 /// Monotone over the run, so it is informational only — the deterministic
@@ -154,8 +143,10 @@ fn run_scale(n: usize, shard_entities: usize, samples: usize, scratch: &Path) ->
     }
 }
 
-fn main() {
-    let sizes = env_sizes();
+/// Runs the bench, writes the artifact, and exits non-zero if a check
+/// fails.
+pub fn run() {
+    let sizes = env_sizes("DESALIGN_STREAMING_SIZES", &[2_000, 8_000]);
     let shard_entities = env_usize("DESALIGN_STREAMING_SHARD_ENTITIES", 500).max(1);
     let samples = env_usize("DESALIGN_STREAMING_SAMPLES", 3);
     let out = std::env::var("DESALIGN_STREAMING_OUT").unwrap_or_else(|_| "BENCH_streaming.json".into());

@@ -16,7 +16,7 @@
 //! unless both files are non-empty and the counter dump lists the
 //! reliability and tape-workspace counters in [`REQUIRED_COUNTERS`].
 
-use desalign_bench::HarnessConfig;
+use crate::{dump_json, exit_on_failures, metrics_json, HarnessConfig};
 use desalign_core::DesalignModel;
 use desalign_mmkg::{DatasetSpec, SynthConfig};
 use desalign_telemetry as telemetry;
@@ -34,7 +34,9 @@ fn find_epoch(roots: &[telemetry::SpanNode]) -> Option<(u64, u64)> {
     Some((epoch.total_ns, child_total))
 }
 
-fn main() {
+/// Runs the report under the environment's harness profile, writes both
+/// files, and exits non-zero if a check fails.
+pub fn run() {
     telemetry::set_enabled(Some(true));
     telemetry::set_context(Some("telemetry_report".to_string()));
     let metrics_path = std::env::var("DESALIGN_METRICS_OUT")
@@ -87,12 +89,12 @@ fn main() {
     let out = json!({
         "spans": telemetry::spans_json(),
         "metrics": telemetry::metrics_json(),
-        "eval": desalign_bench::metrics_json(&metrics),
+        "eval": metrics_json(&metrics),
         "epochs_run": report.epochs_run,
     });
     let report_path = std::env::var("DESALIGN_TELEMETRY_OUT")
         .unwrap_or_else(|_| "results/TELEMETRY_report.json".to_string());
-    desalign_bench::dump_json(&report_path, &out);
+    dump_json(&report_path, &out);
     if let Some(mut sink) = telemetry::take_sink() {
         sink.flush();
     }
@@ -108,5 +110,5 @@ fn main() {
             failures.push(format!("{path} is missing or empty"));
         }
     }
-    desalign_bench::exit_on_failures("telemetry", &failures);
+    exit_on_failures("telemetry", &failures);
 }

@@ -173,84 +173,86 @@ impl Json {
         out
     }
 
-    /// Serializes to a compact JSON string.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Num(n) => write_number(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    v.write(out);
+                    v.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Object(entries) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in entries.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
+/// Compact JSON, streamed into the formatter; `to_string()` serializes.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        self.write(f)
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
-    use fmt::Write as _;
+fn write_number<W: fmt::Write>(n: f64, out: &mut W) -> fmt::Result {
     if n.is_nan() {
-        out.push_str("NaN");
+        out.write_str("NaN")
     } else if n == f64::INFINITY {
-        out.push_str("Infinity");
+        out.write_str("Infinity")
     } else if n == f64::NEG_INFINITY {
-        out.push_str("-Infinity");
+        out.write_str("-Infinity")
     } else {
         // Rust's shortest round-trip formatting; integral values print
         // without a fraction ("3"), which stays valid JSON.
-        write!(out, "{n}").expect("string write");
+        write!(out, "{n}")
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    use fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("string write"),
-            c => out.push(c),
+/// Writes `s` quoted, escaping what JSON requires; runs of plain characters
+/// go out as one slice.
+fn write_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    for (i, c) in s.char_indices() {
+        let escape = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            '\u{08}' => Some("\\b"),
+            '\u{0c}' => Some("\\f"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        out.write_str(&s[plain..i])?;
+        plain = i + c.len_utf8();
+        match escape {
+            Some(e) => out.write_str(e)?,
+            None => write!(out, "\\u{:04x}", c as u32)?,
         }
     }
-    out.push('"');
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 // ---------------------------------------------------------------------------
@@ -757,6 +759,13 @@ mod tests {
         let nasty = "quote \" backslash \\ newline \n tab \t cr \r nul \u{0} bell \u{7} unicode é 中 emoji 🦀";
         let written = Json::Str(nasty.into()).to_string();
         assert_eq!(Json::parse(&written).unwrap(), Json::Str(nasty.into()));
+    }
+
+    #[test]
+    fn serialized_bytes_are_pinned() {
+        let v = json!({"s": "a\"b\\\n\u{1}\u{1f}é 中", "n": json!([1.5f64, -0.0f64, f64::NAN]), "e": ""});
+        assert_eq!(v.to_string(), r#"{"s":"a\"b\\\n\u0001\u001fé 中","n":[1.5,-0,NaN],"e":""}"#);
+        assert_eq!(format!("{v}"), v.to_string());
     }
 
     #[test]
