@@ -59,7 +59,7 @@ impl HarnessConfig {
     /// The profile from `lookup`, which maps a variable name to its value
     /// if set. Unset variables take the defaults; a set but unparsable one
     /// is an error.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         fn get<T: FromStr>(lookup: &impl Fn(&str) -> Option<String>, key: &str, default: T) -> Result<T, String> {
             match lookup(key) {
                 None => Ok(default),
@@ -382,8 +382,8 @@ mod tests {
 
     #[test]
     fn set_variables_override_the_defaults() {
-        let h = profile(&[("DESALIGN_SCALE", "40"), ("DESALIGN_EPOCHS", "2"), ("DESALIGN_DIM", "16"), ("DESALIGN_SEED", "99")])
-            .unwrap();
+        let vars = [("DESALIGN_SCALE", "40"), ("DESALIGN_EPOCHS", "2"), ("DESALIGN_DIM", "16"), ("DESALIGN_SEED", "99")];
+        let h = profile(&vars).unwrap();
         assert_eq!((h.scale, h.epochs, h.hidden_dim, h.seed), (40, 2, 16, 99));
     }
 

@@ -5,7 +5,9 @@
 //! A missing or unknown name prints the list of names to stderr and exits
 //! with status 2.
 
-use desalign_bench::{or_die, paper, retrieval_bench, robustness_sweep, streaming_bench, telemetry_report, HarnessConfig};
+use desalign_bench::{
+    or_die, paper, retrieval_bench, robustness_sweep, streaming_bench, telemetry_report, HarnessConfig,
+};
 use std::path::Path;
 
 /// The self-checking benches: each writes its artifact where its

@@ -6,7 +6,9 @@
 //! returns its JSON document, which [`Artifact::run`] writes into the output
 //! directory (`results/` from the binary).
 
-use crate::{cpu_model, metrics_json, print_table, try_dump_json, HarnessConfig, MethodId, ResultRow, ALL_WITH_OURS, PROMINENT};
+use crate::{
+    cpu_model, metrics_json, print_table, try_dump_json, HarnessConfig, MethodId, ResultRow, ALL_WITH_OURS, PROMINENT,
+};
 use desalign_baselines::iterative_align;
 use desalign_core::{DesalignConfig, DesalignModel, StructureEncoderKind};
 use desalign_eval::AlignmentMetrics;
@@ -77,7 +79,12 @@ enum Strategy {
 
 /// Builds `method` for `ds`, trains it and evaluates it: `(metrics,
 /// training seconds)`.
-fn fit_evaluate(h: &HarnessConfig, method: MethodId, ds: &AlignmentDataset, strategy: Strategy) -> (AlignmentMetrics, f64) {
+fn fit_evaluate(
+    h: &HarnessConfig,
+    method: MethodId,
+    ds: &AlignmentDataset,
+    strategy: Strategy,
+) -> (AlignmentMetrics, f64) {
     let mut aligner = method.build(h, ds, h.seed);
     match strategy {
         Strategy::Fit(_) => {
@@ -256,7 +263,8 @@ fn table1_stats(h: &HarnessConfig) -> Json {
 /// MEAformer, DESAlign). Shape target: DESAlign stays flat and on top
 /// across the sweep while the baselines oscillate or decline.
 fn table2_text_ratio(h: &HarnessConfig) -> Json {
-    ratio_sweep(h, &DatasetSpec::MONOLINGUAL, &[0.05, 0.2, 0.3, 0.4, 0.5, 0.6], "r_tex", SynthConfig::with_text_ratio, |s| {
+    let ratios = [0.05, 0.2, 0.3, 0.4, 0.5, 0.6];
+    ratio_sweep(h, &DatasetSpec::MONOLINGUAL, &ratios, "r_tex", SynthConfig::with_text_ratio, |s| {
         format!("Table II — {} (R_seed=0.2)", s.name())
     })
 }
@@ -268,7 +276,8 @@ fn table2_text_ratio(h: &HarnessConfig) -> Json {
 /// DESAlign leads at every ratio with the largest margins at low `R_img`,
 /// and its accuracy rises monotonically with the ratio.
 fn table3_image_ratio(h: &HarnessConfig) -> Json {
-    ratio_sweep(h, &DatasetSpec::BILINGUAL, &[0.05, 0.2, 0.3, 0.4, 0.5, 0.6], "r_img", SynthConfig::with_image_ratio, |s| {
+    let ratios = [0.05, 0.2, 0.3, 0.4, 0.5, 0.6];
+    ratio_sweep(h, &DatasetSpec::BILINGUAL, &ratios, "r_img", SynthConfig::with_image_ratio, |s| {
         format!("Table III — {} (R_seed=0.3)", s.name())
     })
 }
@@ -686,18 +695,23 @@ mod tests {
 
     /// Every paper artifact end to end at a tiny profile: each writes a
     /// JSON document that parses, holds at least one record, and has no
-    /// non-finite number.
+    /// non-finite number. The artifacts run side by side, one thread each.
     #[test]
     fn every_artifact_writes_finite_json() {
         let h = HarnessConfig { scale: 40, epochs: 1, hidden_dim: 64, seed: 17 };
         let dir = std::env::temp_dir().join(format!("desalign-bench-smoke-{}", std::process::id()));
-        for a in &ARTIFACTS {
-            let path = a.run(&h, &dir).unwrap_or_else(|e| panic!("{}: {e}", a.name));
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", a.name));
-            assert!(doc.as_array().is_some_and(|items| !items.is_empty()), "{} wrote no records", a.name);
-            assert_eq!(non_finite_failures(&doc), Vec::<String>::new(), "{}", a.name);
-        }
+        std::thread::scope(|s| {
+            for a in &ARTIFACTS {
+                let (h, dir) = (&h, &dir);
+                s.spawn(move || {
+                    let path = a.run(h, dir).unwrap_or_else(|e| panic!("{}: {e}", a.name));
+                    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", a.name));
+                    assert!(doc.as_array().is_some_and(|items| !items.is_empty()), "{} wrote no records", a.name);
+                    assert_eq!(non_finite_failures(&doc), Vec::<String>::new(), "{}", a.name);
+                });
+            }
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 }
