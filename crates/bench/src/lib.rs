@@ -343,13 +343,13 @@ pub fn dump_json(path: impl AsRef<Path>, value: &desalign_util::Json) {
 
 /// A bench knob read from the environment: `name` parsed as a count, or
 /// `default` when it is unset or unparsable.
-pub fn env_usize(name: &str, default: usize) -> usize {
+pub(crate) fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
 /// A comma-separated list of positive sizes from the environment, or
 /// `default` when `name` is unset; unparsable and zero entries are skipped.
-pub fn env_sizes(name: &str, default: &[usize]) -> Vec<usize> {
+pub(crate) fn env_sizes(name: &str, default: &[usize]) -> Vec<usize> {
     match std::env::var(name) {
         Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&n| n > 0).collect(),
         Err(_) => default.to_vec(),

@@ -7,7 +7,7 @@
 //! - **exact** — the exact `ItemIndex` scan (bit-identical to the dense
 //!   cosine path, which the `retrieval_props` tests enforce; never
 //!   materializes the `queries × n` matrix);
-//! - **ivf** — the seeded IVF index, probing [`NPROBE`] cells per query.
+//! - **ivf** — the seeded IVF index, probing `NPROBE` cells per query.
 //!
 //! Alongside queries/sec it reports IVF recall@1/@10 against the exact
 //! top-k and the scanned-candidate fraction from the `retrieval.*`

@@ -14,7 +14,7 @@
 //!
 //! After writing both files the run checks itself, and exits non-zero
 //! unless both files are non-empty and the counter dump lists the
-//! reliability and tape-workspace counters in [`REQUIRED_COUNTERS`].
+//! reliability and tape-workspace counters in `REQUIRED_COUNTERS`.
 
 use crate::{dump_json, exit_on_failures, metrics_json, HarnessConfig};
 use desalign_core::DesalignModel;
