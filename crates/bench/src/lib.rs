@@ -336,9 +336,8 @@ pub fn try_dump_json(path: impl AsRef<Path>, value: &desalign_util::Json) -> std
 /// Serializes results to JSON next to stdout output so EXPERIMENTS.md can
 /// reference machine-readable artifacts. Exits nonzero on I/O failure —
 /// a bench run whose artifact did not land must not look green.
-pub fn dump_json(path: impl AsRef<Path>, value: &desalign_util::Json) {
-    let path = path.as_ref();
-    or_die(&format!("write {}", path.display()), try_dump_json(path, value));
+pub fn dump_json(path: &str, value: &desalign_util::Json) {
+    or_die(&format!("write {path}"), try_dump_json(path, value));
 }
 
 /// A bench knob read from the environment: `name` parsed as a count, or
