@@ -32,7 +32,8 @@
 //! (`seed_serial_median_ns`, from the artifact committed before tiling)
 //! and `speedup_vs_seed`, the cross-commit improvement.
 //!
-//! Run with `cargo bench --bench kernels`. Knobs:
+//! Run with `cargo bench --bench kernels`. Knobs (an unparsable count
+//! exits 1 naming the variable):
 //! - `DESALIGN_BENCH_SAMPLES` — samples per benchmark (default 20);
 //! - `DESALIGN_BENCH_MAX_N` — skip scales above this (default 8000; CI's
 //!   smoke run caps it low to keep the harness from rotting unnoticed);
@@ -46,14 +47,14 @@
 //! fall far behind forced-serial, every row carries its `tiled_speedup`,
 //! the `cpu_features` list is present, and no number is non-finite.
 
-use desalign_bench::{cpu_model, exit_on_failures, non_finite_failures};
+use desalign_bench::{cpu_model, exit_on_failures, non_finite_failures, or_die};
 use desalign_bench::timing::{bench, bench_stats, DEFAULT_SAMPLES};
 use desalign_graph::{dirichlet_energy, propagate_features, Csr, PropagationConfig};
 use desalign_mmkg::{DatasetSpec, SynthConfig};
 use desalign_nn::{GatEncoder, ParamStore, Session};
 use desalign_parallel::{configured_threads, fixed_block_len, with_threads, PAR_MIN_COST};
 use desalign_tensor::{dot, normal_matrix, rng_from_seed, Matrix};
-use desalign_util::{json, Json};
+use desalign_util::{count_var, json, Json};
 use std::hint::black_box;
 use std::rc::Rc;
 
@@ -64,12 +65,18 @@ const SCALES: [usize; 3] = [500, 2000, 8000];
 /// d = 64), benchmarked for `matmul_nt` / `matmul_tn` beside [`SCALES`].
 const TRAINING_N: usize = 400;
 
+/// `key` from the environment as a count, `default` when unset; an
+/// unparsable value exits 1 naming the variable.
+fn env_count(key: &str, default: usize) -> usize {
+    or_die("kernel bench", count_var(&|k| std::env::var(k).ok(), key, default))
+}
+
 fn samples() -> usize {
-    std::env::var("DESALIGN_BENCH_SAMPLES").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_SAMPLES)
+    env_count("DESALIGN_BENCH_SAMPLES", DEFAULT_SAMPLES)
 }
 
 fn max_n() -> usize {
-    std::env::var("DESALIGN_BENCH_MAX_N").ok().and_then(|v| v.parse().ok()).unwrap_or(8000)
+    env_count("DESALIGN_BENCH_MAX_N", 8000)
 }
 
 fn scales() -> Vec<usize> {

@@ -22,32 +22,20 @@
 //!    faulted) while align traffic flows: the faulted reload rolls back,
 //!    and not one in-flight request is dropped without a response.
 //!
-//! Every run writes its report first, then exits non-zero on any panic or
-//! failed scenario. `DESALIGN_CHAOS_OUT` overrides the output path.
+//! Every run writes its report first, then returns each failure of a
+//! panicked or failed scenario. The harness owns the process-global
+//! failpoint registry, so nothing else may run in its process.
 
+use crate::serve_bench::{percentile, synth_matrix};
+use crate::write_artifact;
 use desalign_mmkg::{AuditPolicy, DatasetSpec, StreamingAuditor, SynthConfig};
 use desalign_serve::{AlignEngine, ServeConfig, Server};
-use desalign_tensor::Matrix;
 use desalign_util::{atomic_write, json, read_verified, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| ((splitmix(seed.wrapping_add(i as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
 
 fn exact_engine() -> AlignEngine {
     AlignEngine::from_embeddings(
@@ -90,19 +78,17 @@ fn round_trip(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) 
     Some((status, body.to_string()))
 }
 
-fn percentile(sorted_us: &[u64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us[rank - 1] as f64
-}
-
 // ---------------------------------------------------------------------
-// Scenarios: each returns (detail fields, failures)
+// Scenarios
 // ---------------------------------------------------------------------
 
-fn kill_mid_write() -> (Vec<(String, Json)>, Vec<String>) {
+/// A scenario's detail fields for its report entry, and its failures.
+type Outcome = (Vec<(String, Json)>, Vec<String>);
+
+/// A named scenario.
+type Scenario = (&'static str, fn() -> Outcome);
+
+fn kill_mid_write() -> Outcome {
     let mut failures = Vec::new();
     let dir = temp_dir("kill-mid-write");
     let path = dir.join("state.bin");
@@ -140,7 +126,7 @@ fn kill_mid_write() -> (Vec<(String, Json)>, Vec<String>) {
     )
 }
 
-fn flaky_shard_audit() -> (Vec<(String, Json)>, Vec<String>) {
+fn flaky_shard_audit() -> Outcome {
     let mut failures = Vec::new();
     let dir = temp_dir("flaky-shard");
     let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(30);
@@ -183,7 +169,7 @@ fn flaky_shard_audit() -> (Vec<(String, Json)>, Vec<String>) {
     )
 }
 
-fn socket_storm() -> (Vec<(String, Json)>, Vec<String>) {
+fn socket_storm() -> Outcome {
     let mut failures = Vec::new();
     let cfg = ServeConfig {
         workers: 8,
@@ -257,7 +243,7 @@ fn socket_storm() -> (Vec<(String, Json)>, Vec<String>) {
     )
 }
 
-fn breaker_degrade() -> (Vec<(String, Json)>, Vec<String>) {
+fn breaker_degrade() -> Outcome {
     let mut failures = Vec::new();
     let cfg = ServeConfig {
         workers: 2,
@@ -322,7 +308,7 @@ fn breaker_degrade() -> (Vec<(String, Json)>, Vec<String>) {
     )
 }
 
-fn reload_under_load() -> (Vec<(String, Json)>, Vec<String>) {
+fn reload_under_load() -> Outcome {
     let mut failures = Vec::new();
     let reloader = Box::new(move |_req: Option<&str>| {
         std::thread::sleep(Duration::from_millis(50)); // a non-trivial build
@@ -403,13 +389,14 @@ fn reload_under_load() -> (Vec<(String, Json)>, Vec<String>) {
 
 // ---------------------------------------------------------------------
 
-fn main() {
-    // The harness owns the process-global schedule registry; refuse to
-    // inherit one from the environment so every scenario is seeded
-    // exactly as written above.
+/// Replays every scenario, writes `BENCH_chaos.json` into `out_dir`, and
+/// returns each failure as `<scenario>: <failure>`.
+pub fn run(out_dir: &Path) -> Vec<String> {
+    // Refuse to inherit a schedule from the environment, so every
+    // scenario is seeded exactly as written above.
     desalign_failpoint::clear();
 
-    let scenarios: Vec<(&str, fn() -> (Vec<(String, Json)>, Vec<String>))> = vec![
+    let scenarios: [Scenario; 5] = [
         ("kill_mid_write", kill_mid_write),
         ("flaky_shard_audit", flaky_shard_audit),
         ("socket_storm", socket_storm),
@@ -419,6 +406,7 @@ fn main() {
 
     let mut panics = 0usize;
     let mut failed = 0usize;
+    let mut all_failures = Vec::new();
     let mut reports: Vec<Json> = Vec::new();
     for (name, run) in scenarios {
         let t0 = Instant::now();
@@ -436,9 +424,6 @@ fn main() {
         if !passed {
             failed += 1;
         }
-        for f in &failures {
-            eprintln!("chaos_bench: {name}: FAIL: {f}");
-        }
         println!(
             "chaos_bench: {name}: {} ({elapsed_ms:.0}ms)",
             if passed { "ok" } else { "FAILED" }
@@ -455,6 +440,7 @@ fn main() {
         ];
         entry.append(&mut fields);
         reports.push(Json::Object(entry));
+        all_failures.extend(failures.into_iter().map(|f| format!("{name}: {f}")));
     }
 
     let doc = json!({
@@ -463,12 +449,8 @@ fn main() {
         "panics": panics,
         "failed": failed,
     });
-    let out_path = std::env::var("DESALIGN_CHAOS_OUT").unwrap_or_else(|_| "BENCH_chaos.json".into());
-    std::fs::write(&out_path, format!("{doc}\n")).expect("write chaos report");
-    println!("chaos_bench: wrote {out_path} ({panics} panics, {failed} failed scenarios)");
-
-    if panics > 0 || failed > 0 {
-        eprintln!("chaos_bench: chaos check FAILED ({panics} panics, {failed} failed scenarios)");
-        std::process::exit(1);
-    }
+    let mut failures = write_artifact(&out_dir.join("BENCH_chaos.json"), &doc);
+    println!("chaos_bench: {panics} panics, {failed} failed scenarios");
+    failures.extend(all_failures);
+    failures
 }

@@ -3,10 +3,13 @@
 //! One binary, `desalign-bench <artifact>`, dispatches to the artifact
 //! bodies in this library (see DESIGN.md §4 for the index): the paper's
 //! tables and figures in [`paper`], and the self-checking benches
-//! [`retrieval_bench`], [`robustness_sweep`], [`streaming_bench`] and
-//! [`telemetry_report`]. They share this module: a method registry, a scale
-//! profile controlled by environment variables, and fixed-width table
-//! printing that mirrors the paper's layout.
+//! [`chaos_bench`], [`retrieval_bench`], [`robustness_sweep`],
+//! [`serve_bench`], [`streaming_bench`] and [`telemetry_report`]. Each bench
+//! takes its sizes (a constant, or the harness profile) and an output
+//! directory, writes its artifact and returns its failed checks; the
+//! binary then exits non-zero on any. They share this module: a method
+//! registry, a scale profile controlled by environment variables, and
+//! fixed-width table printing that mirrors the paper's layout.
 //!
 //! Environment knobs (all optional; an unparsable value is an error):
 //! - `DESALIGN_SCALE` — entities on the larger side of each synthetic pair
@@ -18,9 +21,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chaos_bench;
 pub mod paper;
 pub mod retrieval_bench;
 pub mod robustness_sweep;
+pub mod serve_bench;
 pub mod streaming_bench;
 pub mod telemetry_report;
 pub mod timing;
@@ -33,8 +38,8 @@ use desalign_baselines::{
 use desalign_core::DesalignConfig;
 use desalign_eval::AlignmentMetrics;
 use desalign_mmkg::AlignmentDataset;
+use desalign_util::count_var;
 use std::path::Path;
-use std::str::FromStr;
 
 /// Scale and budget profile for one harness run.
 #[derive(Clone, Copy, Debug)]
@@ -60,17 +65,11 @@ impl HarnessConfig {
     /// if set. Unset variables take the defaults; a set but unparsable one
     /// is an error.
     fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        fn get<T: FromStr>(lookup: &impl Fn(&str) -> Option<String>, key: &str, default: T) -> Result<T, String> {
-            match lookup(key) {
-                None => Ok(default),
-                Some(v) => v.parse().map_err(|_| format!("{key}={v:?} is not a non-negative integer")),
-            }
-        }
         Ok(Self {
-            scale: get(&lookup, "DESALIGN_SCALE", 400)?,
-            epochs: get(&lookup, "DESALIGN_EPOCHS", 60)?,
-            hidden_dim: get(&lookup, "DESALIGN_DIM", 64)?,
-            seed: get(&lookup, "DESALIGN_SEED", 17)?,
+            scale: count_var(&lookup, "DESALIGN_SCALE", 400)?,
+            epochs: count_var(&lookup, "DESALIGN_EPOCHS", 60)?,
+            hidden_dim: count_var(&lookup, "DESALIGN_DIM", 64)?,
+            seed: count_var(&lookup, "DESALIGN_SEED", 17)?,
         })
     }
 
@@ -292,7 +291,7 @@ pub fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Unwraps a result in the bench binary, or prints `error: <what>: <cause>`
+/// Unwraps a result in the bench harness, or prints `error: <what>: <cause>`
 /// to stderr and exits nonzero. The harness uses this instead of
 /// `unwrap`/`expect` on I/O so a full disk or missing directory produces a
 /// readable one-line failure, not a panic with a backtrace.
@@ -305,8 +304,8 @@ pub fn or_die<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
 
 /// Ends a bench run that checked its own result: prints each failure as
 /// `<what> check FAILED: <failure>` to stderr and exits nonzero when there
-/// is any. Benches call it after writing their artifact, so a failed run
-/// still leaves the numbers behind for inspection.
+/// is any. Called after the artifact is written, so a failed run still
+/// leaves the numbers behind for inspection.
 pub fn exit_on_failures(what: &str, failures: &[String]) {
     if failures.is_empty() {
         return;
@@ -323,8 +322,7 @@ pub fn non_finite_failures(doc: &desalign_util::Json) -> Vec<String> {
     doc.non_finite_paths().into_iter().map(|p| format!("{p} is not finite")).collect()
 }
 
-/// Serializes results to JSON, creating the parent directory; the fallible
-/// core of [`dump_json`].
+/// Serializes results to JSON, creating the parent directory.
 pub fn try_dump_json(path: impl AsRef<Path>, value: &desalign_util::Json) -> std::io::Result<()> {
     let path = path.as_ref();
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -333,25 +331,16 @@ pub fn try_dump_json(path: impl AsRef<Path>, value: &desalign_util::Json) -> std
     std::fs::write(path, value.to_string())
 }
 
-/// Serializes results to JSON next to stdout output so EXPERIMENTS.md can
-/// reference machine-readable artifacts. Exits nonzero on I/O failure —
-/// a bench run whose artifact did not land must not look green.
-pub fn dump_json(path: &str, value: &desalign_util::Json) {
-    or_die(&format!("write {path}"), try_dump_json(path, value));
-}
-
-/// A bench knob read from the environment: `name` parsed as a count, or
-/// `default` when it is unset or unparsable.
-pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-/// A comma-separated list of positive sizes from the environment, or
-/// `default` when `name` is unset; unparsable and zero entries are skipped.
-pub(crate) fn env_sizes(name: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(name) {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&n| n > 0).collect(),
-        Err(_) => default.to_vec(),
+/// Writes a self-checking bench's artifact to `path` and says where; a
+/// write that did not land comes back as the one failure message (see
+/// [`exit_on_failures`]), so the run cannot look green without it.
+pub fn write_artifact(path: &Path, doc: &desalign_util::Json) -> Vec<String> {
+    match try_dump_json(path, doc) {
+        Ok(()) => {
+            println!("wrote {}", path.display());
+            Vec::new()
+        }
+        Err(e) => vec![format!("write {}: {e}", path.display())],
     }
 }
 

@@ -6,17 +6,23 @@
 //! with status 2.
 
 use desalign_bench::{
-    or_die, paper, retrieval_bench, robustness_sweep, streaming_bench, telemetry_report, HarnessConfig,
+    chaos_bench, exit_on_failures, or_die, paper, retrieval_bench, robustness_sweep, serve_bench, streaming_bench,
+    telemetry_report, HarnessConfig,
 };
 use std::path::Path;
 
-/// The self-checking benches: each writes its artifact where its
-/// `DESALIGN_*_OUT` variable says, then exits non-zero on a failed check.
-const BENCHES: [(&str, fn()); 4] = [
-    ("retrieval_bench", retrieval_bench::run),
-    ("robustness_sweep", robustness_sweep::run),
-    ("streaming_bench", streaming_bench::run),
-    ("telemetry_report", telemetry_report::run),
+/// A self-checking bench: its name and a run that writes its artifact
+/// (`BENCH_*.json` at the root, or into `results/` for the two that take
+/// the harness profile) and returns its failed checks.
+type Bench = (&'static str, fn() -> Vec<String>);
+
+const BENCHES: [Bench; 6] = [
+    ("chaos_bench", || chaos_bench::run(Path::new("."))),
+    ("retrieval_bench", || retrieval_bench::run(&retrieval_bench::FULL, Path::new("."))),
+    ("robustness_sweep", || robustness_sweep::run(&HarnessConfig::from_env(), Path::new("results"))),
+    ("serve_bench", || serve_bench::run(&serve_bench::FULL, Path::new("."))),
+    ("streaming_bench", || streaming_bench::run(&streaming_bench::FULL, Path::new("."))),
+    ("telemetry_report", || telemetry_report::run(&HarnessConfig::from_env(), Path::new("results"))),
 ];
 
 fn main() {
@@ -24,8 +30,9 @@ fn main() {
     let [name] = args.as_slice() else { usage() };
     if let Some(artifact) = paper::find(name) {
         or_die(artifact.name, artifact.run(&HarnessConfig::from_env(), Path::new("results")));
-    } else if let Some((_, run)) = BENCHES.iter().find(|(n, _)| n == name) {
-        run();
+    } else if let Some((name, run)) = BENCHES.iter().find(|(n, _)| n == name) {
+        exit_on_failures(name, &run());
+        println!("{name}: every check passed");
     } else {
         usage();
     }

@@ -14,27 +14,35 @@
 //! telemetry counters. The table, with the host it ran on, is written to
 //! `BENCH_retrieval.json`.
 //!
-//! Knobs (all env vars):
-//! - `DESALIGN_RETRIEVAL_SIZES` — comma-separated corpus sizes (default
-//!   `1000,10000,100000`; pass `1000000` for the 1M-entity leg — the
-//!   k-means build takes minutes there, so it is opt-in);
-//! - `DESALIGN_RETRIEVAL_QUERIES` — queries per size (default 256);
-//! - `DESALIGN_RETRIEVAL_SAMPLES` — timing samples per path (default 3);
-//! - `DESALIGN_RETRIEVAL_OUT` — output path (default `BENCH_retrieval.json`).
+//! The sizes of one run are a [`Sizes`]; the binary runs [`FULL`]. A
+//! 1M-entity leg is an edit of [`FULL`] (the k-means build takes minutes
+//! there). The workload itself is fixed: 64-wide embeddings around 64
+//! cluster anchors, searched with `nprobe` 16.
 //!
-//! The workload itself is fixed: 64-wide embeddings around 64 cluster
-//! anchors, searched with `nprobe` 16.
-//!
-//! Every run checks its own result after writing the artifact, and exits
-//! non-zero unless recall@10 ≥ 0.95, every QPS is finite and positive, and
-//! the artifact holds no non-finite number.
+//! Every run checks its own result after writing the artifact: it fails
+//! unless recall@10 ≥ 0.95, every QPS is finite and positive, and the
+//! artifact holds no non-finite number.
 
 use crate::timing::bench_stats;
-use crate::{cpu_model, dump_json, env_sizes, env_usize, exit_on_failures, non_finite_failures, or_die};
+use crate::{cpu_model, non_finite_failures, or_die, write_artifact};
 use desalign_eval::{IndexKind, ItemIndex, IvfParams, RetrievalConfig};
 use desalign_tensor::{rng_from_seed, Matrix, Rng64};
 use desalign_util::{json, Json};
+use std::path::Path;
 use std::time::Instant;
+
+/// Corpus sizes, queries and timing samples of one run.
+pub struct Sizes {
+    /// Corpus sizes, one table row each.
+    pub corpus: &'static [usize],
+    /// Queries per size.
+    pub queries: usize,
+    /// Timing samples per path.
+    pub samples: usize,
+}
+
+/// The sizes of the committed `BENCH_retrieval.json`.
+pub const FULL: Sizes = Sizes { corpus: &[1_000, 10_000, 100_000], queries: 256, samples: 3 };
 
 const K: usize = 10;
 const RECALL_FLOOR: f64 = 0.95;
@@ -154,18 +162,14 @@ fn run_size(n: usize, nq: usize, samples: usize) -> SizeReport {
     SizeReport { row, recall_at_10, qps: [qps_exact, qps_ivf] }
 }
 
-/// Runs the bench, writes the artifact, and exits non-zero if a check
-/// fails.
-pub fn run() {
-    let sizes = env_sizes("DESALIGN_RETRIEVAL_SIZES", &[1_000, 10_000, 100_000]);
-    let nq = env_usize("DESALIGN_RETRIEVAL_QUERIES", 256);
-    let samples = env_usize("DESALIGN_RETRIEVAL_SAMPLES", 3);
-    let out = std::env::var("DESALIGN_RETRIEVAL_OUT").unwrap_or_else(|_| "BENCH_retrieval.json".into());
-
-    println!("retrieval bench: sizes {sizes:?}, {nq} queries, dim {DIM}, nprobe {NPROBE}");
+/// Runs the bench at `sizes`, writes `BENCH_retrieval.json` into
+/// `out_dir`, and returns every failed check.
+pub fn run(sizes: &Sizes, out_dir: &Path) -> Vec<String> {
+    let (nq, samples) = (sizes.queries, sizes.samples);
+    println!("retrieval bench: sizes {:?}, {nq} queries, dim {DIM}, nprobe {NPROBE}", sizes.corpus);
     let mut rows = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for &n in &sizes {
+    for &n in sizes.corpus {
         let report = run_size(n, nq, samples);
         if report.recall_at_10 < RECALL_FLOOR {
             failures.push(format!("n={n}: recall@10 {:.3} < {RECALL_FLOOR}", report.recall_at_10));
@@ -189,8 +193,7 @@ pub fn run() {
         "nprobe": NPROBE,
         "sizes": rows,
     });
-    dump_json(&out, &doc);
+    failures.extend(write_artifact(&out_dir.join("BENCH_retrieval.json"), &doc));
     failures.extend(non_finite_failures(&doc));
-    exit_on_failures("retrieval", &failures);
-    println!("retrieval check OK: recall@10 ≥ {RECALL_FLOOR}, every QPS finite");
+    failures
 }

@@ -13,17 +13,16 @@
 //!
 //! Each cell records `H@1 / H@10 / MRR` plus the final sampled Dirichlet
 //! energies. A corruption class that destabilizes training shows up as a
-//! non-finite number in the artifact: the run writes the artifact, then
-//! names every such number and exits non-zero.
-//!
-//! Output path: `DESALIGN_ROBUSTNESS_OUT` (default
-//! `results/BENCH_robustness.json`).
+//! non-finite number in the artifact: the run writes
+//! `BENCH_robustness.json` (into `results/` from the binary), then names
+//! every such number as a failure.
 
-use crate::{dump_json, exit_on_failures, metrics_json, non_finite_failures, or_die, HarnessConfig};
+use crate::{metrics_json, non_finite_failures, or_die, write_artifact, HarnessConfig};
 use desalign_core::{DesalignConfig, DesalignModel, TrainReport};
 use desalign_mmkg::{AlignmentDataset, AuditPolicy, DatasetSpec, SynthConfig};
 use desalign_testkit::{corrupt_dataset, CorruptionKind};
 use desalign_util::{json, Json, ToJson};
+use std::path::Path;
 
 fn cfg_for(h: &HarnessConfig) -> DesalignConfig {
     let mut cfg = h.desalign_cfg();
@@ -54,17 +53,16 @@ fn run_cell(h: &HarnessConfig, ds: &AlignmentDataset) -> Json {
     })
 }
 
-/// Runs the sweep under the environment's harness profile, writes the
-/// artifact, and exits non-zero if it holds a non-finite number.
-pub fn run() {
-    let h = HarnessConfig::from_env();
+/// Runs the sweep under profile `h`, writes `BENCH_robustness.json` into
+/// `out_dir`, and returns one failure per non-finite number in it.
+pub fn run(h: &HarnessConfig, out_dir: &Path) -> Vec<String> {
     let spec = DatasetSpec::FbDb15k;
 
     // Grid 1: image coverage (Table III shape).
     let mut r_img_rows = Vec::new();
     for &r in &[0.05f32, 0.2, 0.4, 0.6] {
         let ds = SynthConfig::preset(spec).scaled(h.scale).with_image_ratio(r).generate(h.seed);
-        let mut cell = run_cell(&h, &ds);
+        let mut cell = run_cell(h, &ds);
         if let Json::Object(fields) = &mut cell {
             fields.insert(0, ("r_img".to_string(), r.to_json()));
         }
@@ -76,7 +74,7 @@ pub fn run() {
     let mut r_seed_rows = Vec::new();
     for &r in &[0.1f32, 0.2, 0.3, 0.5] {
         let ds = SynthConfig::preset(spec).scaled(h.scale).with_seed_ratio(r).generate(h.seed);
-        let mut cell = run_cell(&h, &ds);
+        let mut cell = run_cell(h, &ds);
         if let Json::Object(fields) = &mut cell {
             fields.insert(0, ("r_seed".to_string(), r.to_json()));
         }
@@ -90,7 +88,7 @@ pub fn run() {
         let mut ds = SynthConfig::preset(spec).scaled(h.scale).generate(h.seed);
         let applied = corrupt_dataset(&mut ds, kind, 0.3, h.seed ^ 0xBAD);
         let report = or_die(&format!("repair audit for {}", kind.name()), ds.audit(AuditPolicy::Repair));
-        let mut cell = run_cell(&h, &ds);
+        let mut cell = run_cell(h, &ds);
         if let Json::Object(fields) = &mut cell {
             fields.insert(0, ("kind".to_string(), Json::Str(kind.name().to_string())));
             fields.insert(1, ("injected".to_string(), Json::Num(applied as f64)));
@@ -100,7 +98,6 @@ pub fn run() {
         println!("corruption={} done ({} injected, {} repaired)", kind.name(), applied, report.total_defects());
     }
 
-    let out = std::env::var("DESALIGN_ROBUSTNESS_OUT").unwrap_or_else(|_| "results/BENCH_robustness.json".to_string());
     let doc = json!({
         "kind": "robustness_sweep",
         "dataset": spec.name(),
@@ -109,7 +106,25 @@ pub fn run() {
         "r_seed": Json::Array(r_seed_rows),
         "corruption": Json::Array(corruption_rows),
     });
-    dump_json(&out, &doc);
-    println!("wrote {out}");
-    exit_on_failures("robustness", &non_finite_failures(&doc));
+    let mut failures = write_artifact(&out_dir.join("BENCH_robustness.json"), &doc);
+    failures.extend(non_finite_failures(&doc));
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every grid cell and corruption class trains to a finite artifact at
+    /// a tiny profile.
+    #[test]
+    fn small_run_is_finite() {
+        let h = HarnessConfig { scale: 40, epochs: 2, hidden_dim: 64, seed: 17 };
+        let dir = std::env::temp_dir().join(format!("desalign-robustness-test-{}", std::process::id()));
+        let failures = run(&h, &dir);
+        let written = dir.join("BENCH_robustness.json").exists();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(failures, Vec::<String>::new());
+        assert!(written, "no artifact written");
+    }
 }

@@ -20,22 +20,16 @@
 //! best-effort informational column (process-wide high-water mark; null on
 //! non-Linux hosts). The table is written to `BENCH_streaming.json`.
 //!
-//! Knobs (all env vars):
-//! - `DESALIGN_STREAMING_SIZES` — comma-separated entity scales (default
-//!   `2000,8000`);
-//! - `DESALIGN_STREAMING_SHARD_ENTITIES` — entities per shard (default 500);
-//! - `DESALIGN_STREAMING_SAMPLES` — timing samples for the read legs
-//!   (default 3);
-//! - `DESALIGN_STREAMING_OUT` — output path (default `BENCH_streaming.json`).
+//! The sizes of one run are a [`Sizes`]; the binary runs [`FULL`].
 //!
-//! Every run checks its own result after writing the artifact, and exits
-//! non-zero unless at every scale the streamed fingerprint matches the
+//! Every run checks its own result after writing the artifact: it fails
+//! unless at every scale the streamed fingerprint matches the
 //! in-memory one and the audit's peak payload stays ≤ 2× the largest
 //! shard, and (across scales) the shard peak stays flat while the JSON
 //! file keeps growing.
 
 use crate::timing::bench_stats;
-use crate::{dump_json, env_sizes, env_usize, exit_on_failures, or_die};
+use crate::{or_die, write_artifact};
 use desalign_mmkg::{
     dataset_fingerprint, load_dataset_json, read_manifest, save_dataset_json, AuditPolicy, DatasetSpec,
     StreamingAuditor, SynthConfig,
@@ -46,6 +40,19 @@ use std::time::Instant;
 
 /// Generator seed of every scale.
 const SEED: u64 = 17;
+
+/// Entity scales, shard size and timing samples of one run.
+pub struct Sizes {
+    /// Entity scales, one table row each.
+    pub scales: &'static [usize],
+    /// Entities per shard.
+    pub shard_entities: usize,
+    /// Timing samples of the read legs.
+    pub samples: usize,
+}
+
+/// The sizes of the committed `BENCH_streaming.json`.
+pub const FULL: Sizes = Sizes { scales: &[2_000, 8_000], shard_entities: 500, samples: 3 };
 
 /// Process-wide peak RSS in bytes from `/proc/self/status`, if available.
 /// Monotone over the run, so it is informational only — the deterministic
@@ -143,22 +150,18 @@ fn run_scale(n: usize, shard_entities: usize, samples: usize, scratch: &Path) ->
     }
 }
 
-/// Runs the bench, writes the artifact, and exits non-zero if a check
-/// fails.
-pub fn run() {
-    let sizes = env_sizes("DESALIGN_STREAMING_SIZES", &[2_000, 8_000]);
-    let shard_entities = env_usize("DESALIGN_STREAMING_SHARD_ENTITIES", 500).max(1);
-    let samples = env_usize("DESALIGN_STREAMING_SAMPLES", 3);
-    let out = std::env::var("DESALIGN_STREAMING_OUT").unwrap_or_else(|_| "BENCH_streaming.json".into());
-
+/// Runs the bench at `sizes`, writes `BENCH_streaming.json` into
+/// `out_dir`, and returns every failed check.
+pub fn run(sizes: &Sizes, out_dir: &Path) -> Vec<String> {
+    let (shard_entities, samples) = (sizes.shard_entities, sizes.samples);
     let scratch = std::env::temp_dir().join(format!("desalign-streaming-bench-{}", std::process::id()));
     or_die("scratch dir", std::fs::create_dir_all(&scratch));
 
-    println!("streaming bench: sizes {sizes:?}, {shard_entities} entities/shard, seed {SEED}");
+    println!("streaming bench: sizes {:?}, {shard_entities} entities/shard, seed {SEED}", sizes.scales);
     let mut rows = Vec::new();
     let mut reports = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for &n in &sizes {
+    for &n in sizes.scales {
         let report = run_scale(n, shard_entities, samples, &scratch);
         if !report.fingerprints_match {
             failures.push(format!("n={n}: streamed fingerprint diverges from the in-memory dataset"));
@@ -173,7 +176,7 @@ pub fn run() {
         reports.push(report);
     }
     if reports.is_empty() {
-        failures.push("no scale measured (DESALIGN_STREAMING_SIZES empty?)".into());
+        failures.push("no scale measured".into());
     }
     // Scaling shape: the shard peak must stay (near) flat while the JSON
     // artifact keeps growing with n — the out-of-core claim in one check.
@@ -193,14 +196,31 @@ pub fn run() {
         }
     }
 
-    dump_json(&out, &json!({
+    let doc = json!({
         "shard_entities": shard_entities,
         "seed": SEED,
         "samples": samples,
         "sizes": rows,
-    }));
+    });
+    failures.extend(write_artifact(&out_dir.join("BENCH_streaming.json"), &doc));
 
     let _ = std::fs::remove_dir_all(&scratch);
-    exit_on_failures("streaming", &failures);
-    println!("streaming check OK: fingerprints match, audit peak bounded by the largest shard");
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every check at small sizes: streamed fingerprints match, the audit
+    /// peak stays bounded and flat, the JSON file grows.
+    #[test]
+    fn small_run_passes_every_check() {
+        let dir = std::env::temp_dir().join(format!("desalign-streaming-test-{}", std::process::id()));
+        let failures = run(&Sizes { scales: &[500, 2_000], shard_entities: 200, samples: 2 }, &dir);
+        let written = dir.join("BENCH_streaming.json").exists();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(failures, Vec::<String>::new());
+        assert!(written, "no artifact written");
+    }
 }

@@ -1,26 +1,22 @@
 //! Observability smoke: trains DESAlign on a synthetic DBP15K-scale pair
 //! with telemetry forced on, pretty-prints the resulting span tree, checks
-//! that the `fit/epoch` total is covered by its child phases, and dumps
-//! `results/TELEMETRY_report.json` (spans + counters + gauges) alongside a
-//! per-epoch JSONL metrics stream.
+//! that the `fit/epoch` total is covered by its child phases, and writes
+//! `TELEMETRY_report.json` (spans + counters + gauges) and, next to it, the
+//! per-epoch JSONL metrics stream `metrics_telemetry_report.jsonl` (into
+//! `results/` from the binary).
 //!
-//! Environment knobs:
-//! - the usual harness profile (`DESALIGN_SCALE`, `DESALIGN_EPOCHS`,
-//!   `DESALIGN_DIM`, `DESALIGN_SEED`);
-//! - `DESALIGN_TELEMETRY_OUT` — overrides the span-report JSON path
-//!   (default `results/TELEMETRY_report.json`);
-//! - `DESALIGN_METRICS_OUT` — overrides the JSONL metrics path (default
-//!   `results/metrics_telemetry_report.jsonl`).
-//!
-//! After writing both files the run checks itself, and exits non-zero
-//! unless both files are non-empty and the counter dump lists the
-//! reliability and tape-workspace counters in `REQUIRED_COUNTERS`.
+//! After writing both files the run checks itself: it fails unless both
+//! files are non-empty and the counter dump lists the reliability and
+//! tape-workspace counters in `REQUIRED_COUNTERS`. It switches telemetry
+//! on and installs the process-global metrics sink, so nothing else may
+//! run in its process.
 
-use crate::{dump_json, exit_on_failures, metrics_json, HarnessConfig};
+use crate::{metrics_json, write_artifact, HarnessConfig};
 use desalign_core::DesalignModel;
 use desalign_mmkg::{DatasetSpec, SynthConfig};
 use desalign_telemetry as telemetry;
 use desalign_util::json;
+use std::path::Path;
 
 /// Counters the trainer registers on every run, including the ones that
 /// stay zero on a clean run: dashboards must see explicit zeros.
@@ -34,22 +30,21 @@ fn find_epoch(roots: &[telemetry::SpanNode]) -> Option<(u64, u64)> {
     Some((epoch.total_ns, child_total))
 }
 
-/// Runs the report under the environment's harness profile, writes both
-/// files, and exits non-zero if a check fails.
-pub fn run() {
+/// Runs the report under profile `h`, writes both files into `out_dir`,
+/// and returns every failed check.
+pub fn run(h: &HarnessConfig, out_dir: &Path) -> Vec<String> {
     telemetry::set_enabled(Some(true));
     telemetry::set_context(Some("telemetry_report".to_string()));
-    let metrics_path = std::env::var("DESALIGN_METRICS_OUT")
-        .unwrap_or_else(|_| "results/metrics_telemetry_report.jsonl".to_string());
-    std::fs::create_dir_all(std::path::Path::new(&metrics_path).parent().unwrap_or_else(|| std::path::Path::new("."))).ok();
-    match telemetry::MetricsSink::to_file(std::path::Path::new(&metrics_path)) {
+    let report_path = out_dir.join("TELEMETRY_report.json");
+    let metrics_path = out_dir.join("metrics_telemetry_report.jsonl");
+    std::fs::create_dir_all(out_dir).ok();
+    match telemetry::MetricsSink::to_file(&metrics_path) {
         Ok(sink) => {
             telemetry::install_sink(sink);
         }
-        Err(e) => eprintln!("warning: could not open {metrics_path}: {e}"),
+        Err(e) => eprintln!("warning: could not open {}: {e}", metrics_path.display()),
     }
 
-    let h = HarnessConfig::from_env();
     let ds = SynthConfig::preset(DatasetSpec::Dbp15kFrEn).scaled(h.scale).generate(h.seed);
     let mut model = DesalignModel::new(h.desalign_cfg(), &ds, h.seed);
     let report = model.fit(&ds);
@@ -92,23 +87,22 @@ pub fn run() {
         "eval": metrics_json(&metrics),
         "epochs_run": report.epochs_run,
     });
-    let report_path = std::env::var("DESALIGN_TELEMETRY_OUT")
-        .unwrap_or_else(|_| "results/TELEMETRY_report.json".to_string());
-    dump_json(&report_path, &out);
+    let mut failures = write_artifact(&report_path, &out);
     if let Some(mut sink) = telemetry::take_sink() {
         sink.flush();
     }
-    println!("wrote {report_path} and {metrics_path}");
+    println!("wrote {}", metrics_path.display());
 
-    let mut failures: Vec<String> = REQUIRED_COUNTERS
-        .iter()
-        .filter(|c| !counters.iter().any(|(name, _)| name == *c))
-        .map(|c| format!("the counter dump does not list {c}"))
-        .collect();
+    failures.extend(
+        REQUIRED_COUNTERS
+            .iter()
+            .filter(|c| !counters.iter().any(|(name, _)| name == *c))
+            .map(|c| format!("the counter dump does not list {c}")),
+    );
     for path in [&report_path, &metrics_path] {
         if std::fs::metadata(path).map_or(true, |m| m.len() == 0) {
-            failures.push(format!("{path} is missing or empty"));
+            failures.push(format!("{} is missing or empty", path.display()));
         }
     }
-    exit_on_failures("telemetry", &failures);
+    failures
 }

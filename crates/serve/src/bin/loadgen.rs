@@ -1,39 +1,17 @@
-//! Load generator + smoke client for `desalign-serve`.
+//! Smoke client for a running `desalign-serve`.
 //!
-//! Two modes, selected by the environment:
-//!
-//! - **Smoke client** (`DESALIGN_SERVE_ADDR` set): drives a running server
-//!   over one keep-alive connection — `/healthz`, `/metrics`, a fixed
-//!   `/v1/align` query, and a deliberately malformed body, and checks that
-//!   `/metrics` registers the robustness counter families at boot. With
-//!   `DESALIGN_LOADGEN_PROBE=<file>` the raw align response body is
-//!   written there (ci.sh diffs probes across restarts and thread counts
-//!   to enforce bit-identity); `DESALIGN_LOADGEN_SHUTDOWN=1` finishes by
-//!   draining the server via `POST /admin/shutdown`.
-//!
-//! - **Bench** (no `DESALIGN_SERVE_ADDR`): starts in-process servers over
-//!   a deterministic synthetic engine and measures latency two ways,
-//!   writing exact p50/p99/QPS to `BENCH_serve.json`:
-//!   *closed-loop* legs (every max_batch × thread-count combination; each
-//!   client waits for its response before sending the next request) and
-//!   *open-loop* legs (`DESALIGN_LOADGEN_RATES`, default `2000,8000`
-//!   offered QPS; requests depart on a fixed arrival schedule whether or
-//!   not earlier ones finished, so queueing delay is visible — the
-//!   offered vs. achieved QPS gap is the overload signal). After writing
-//!   the artifact every run checks it, and exits non-zero unless at least
-//!   3 legs ran, one of them open-loop, with finite positive percentiles,
-//!   offered rates and throughput, and zero failed requests.
+//! Drives the server at `DESALIGN_SERVE_ADDR` over one keep-alive
+//! connection — `/healthz`, `/metrics`, a fixed `/v1/align` query, a
+//! deliberately malformed body, `/readyz` — checks that `/metrics`
+//! registers the robustness counter families at boot, and finishes by
+//! draining the server via `POST /admin/shutdown`. With
+//! `DESALIGN_LOADGEN_PROBE=<file>` the raw align response body is written
+//! there (ci.sh diffs probes across restarts and thread counts to enforce
+//! bit-identity). Any failed check exits 1. The serving latency bench is
+//! `desalign-bench serve_bench`.
 
-use desalign_serve::{AlignEngine, ServeConfig, Server};
-use desalign_tensor::Matrix;
-use desalign_util::{json, Json};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
+use desalign_serve::Client;
+use desalign_util::Json;
 
 fn or_die<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
     match result {
@@ -44,74 +22,6 @@ fn or_die<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// Minimal HTTP/1.1 client (keep-alive aware)
-// ---------------------------------------------------------------------
-
-/// One keep-alive client connection with its own read buffer, so bytes of
-/// the next pipelined response are never lost between round-trips.
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        Ok(Self { stream, buf: Vec::new() })
-    }
-
-    fn fill(&mut self) -> std::io::Result<()> {
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed the connection"));
-        }
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(())
-    }
-
-    /// Sends one request and reads one `Content-Length`-framed response.
-    fn request(&mut self, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        write!(
-            self.stream,
-            "{method} {path} HTTP/1.1\r\nHost: desalign\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
-        self.stream.flush()?;
-
-        let header_end = loop {
-            if let Some(i) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break i + 4;
-            }
-            self.fill()?;
-        };
-        let head = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad status line in {head:?}")))?;
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(|v| v.trim().to_string()))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        while self.buf.len() < header_end + content_length {
-            self.fill()?;
-        }
-        let body = String::from_utf8_lossy(&self.buf[header_end..header_end + content_length]).into_owned();
-        self.buf.drain(..header_end + content_length);
-        Ok((status, body))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Smoke-client mode
-// ---------------------------------------------------------------------
 
 fn expect(status: u16, want: u16, what: &str, body: &str) {
     if status != want {
@@ -189,313 +99,19 @@ fn smoke(addr: &str) {
     }
     println!("loadgen: /metrics exposes the shed/breaker/reload/failpoint counter families");
 
-    if std::env::var("DESALIGN_LOADGEN_SHUTDOWN").as_deref() == Ok("1") {
-        let (status, body) = or_die("POST /admin/shutdown", client.request("POST", "/admin/shutdown", ""));
-        expect(status, 200, "shutdown", &body);
-        if !body.contains("draining") {
-            eprintln!("loadgen: unexpected shutdown response: {body}");
-            std::process::exit(1);
-        }
-        println!("loadgen: server draining");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Bench mode
-// ---------------------------------------------------------------------
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Deterministic pseudo-random embeddings in `[-1, 1)`.
-fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| ((splitmix(seed.wrapping_add(i as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-fn percentile(sorted_us: &[u64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us[rank - 1] as f64
-}
-
-struct Leg {
-    mode: &'static str,
-    max_batch: usize,
-    threads: usize,
-    requests: usize,
-    errors: usize,
-    shed: usize,
-    p50_us: f64,
-    p99_us: f64,
-    mean_us: f64,
-    /// Arrival rate the schedule asked for (open-loop only; NaN closed).
-    offered_qps: f64,
-    qps: f64,
-}
-
-fn run_leg(max_batch: usize, threads: usize, clients: usize, per_client: usize) -> Leg {
-    desalign_parallel::set_thread_override(Some(threads));
-    let engine = or_die(
-        "build bench engine",
-        AlignEngine::from_embeddings(
-            synth_matrix(256, 32, 11),
-            synth_matrix(512, 32, 23),
-            &desalign_eval::RetrievalConfig::default(),
-            256,
-        ),
-    );
-    let cfg = ServeConfig {
-        max_batch,
-        batch_window: Duration::from_micros(200),
-        workers: clients, // one worker per closed-loop client
-        ..ServeConfig::default()
-    };
-    let server = or_die("start bench server", Server::start(engine, &cfg));
-    let addr = server.addr().to_string();
-
-    let t0 = Instant::now();
-    let mut joins = Vec::new();
-    for c in 0..clients {
-        let addr = addr.clone();
-        joins.push(std::thread::spawn(move || -> (Vec<u64>, usize) {
-            let mut client = match Client::connect(&addr) {
-                Ok(cl) => cl,
-                Err(_) => return (Vec::new(), per_client),
-            };
-            let mut lat = Vec::with_capacity(per_client);
-            let mut errors = 0usize;
-            for i in 0..per_client {
-                let body = format!("{{\"entity\": {}, \"k\": 10}}", (c * per_client + i) % 256);
-                let t = Instant::now();
-                match client.request("POST", "/v1/align", &body) {
-                    Ok((200, _)) => lat.push(t.elapsed().as_micros() as u64),
-                    _ => errors += 1,
-                }
-            }
-            (lat, errors)
-        }));
-    }
-    let mut all = Vec::new();
-    let mut errors = 0usize;
-    for j in joins {
-        let (lat, e) = j.join().expect("client thread");
-        all.extend(lat);
-        errors += e;
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    server.shutdown();
-    desalign_parallel::set_thread_override(None);
-
-    all.sort_unstable();
-    let mean = if all.is_empty() { f64::NAN } else { all.iter().sum::<u64>() as f64 / all.len() as f64 };
-    Leg {
-        mode: "closed",
-        max_batch,
-        threads,
-        requests: all.len(),
-        errors,
-        shed: 0,
-        p50_us: percentile(&all, 0.50),
-        p99_us: percentile(&all, 0.99),
-        mean_us: mean,
-        offered_qps: f64::NAN,
-        qps: if wall > 0.0 { all.len() as f64 / wall } else { f64::NAN },
-    }
-}
-
-/// One open-loop leg: `total` requests depart on a fixed `rate`-QPS
-/// arrival schedule split round-robin across `clients` connections. A
-/// client that falls behind its schedule sends immediately (the backlog
-/// is the point — latency is measured from the *scheduled* departure, so
-/// queueing delay shows up in the percentiles). 503 sheds are counted
-/// separately from hard errors: shedding under overload is the designed
-/// response, not a failure.
-fn run_open_leg(rate: f64, clients: usize, total: usize) -> Leg {
-    desalign_parallel::set_thread_override(Some(2));
-    let engine = or_die(
-        "build bench engine",
-        AlignEngine::from_embeddings(
-            synth_matrix(256, 32, 11),
-            synth_matrix(512, 32, 23),
-            &desalign_eval::RetrievalConfig::default(),
-            256,
-        ),
-    );
-    let cfg = ServeConfig {
-        max_batch: 16,
-        batch_window: Duration::from_micros(200),
-        workers: clients,
-        ..ServeConfig::default()
-    };
-    let server = or_die("start bench server", Server::start(engine, &cfg));
-    let addr = server.addr().to_string();
-
-    let per_client = total.div_ceil(clients);
-    let interval = Duration::from_secs_f64(clients as f64 / rate);
-    let t0 = Instant::now();
-    let mut joins = Vec::new();
-    for c in 0..clients {
-        let addr = addr.clone();
-        joins.push(std::thread::spawn(move || -> (Vec<u64>, usize, usize) {
-            let mut client = match Client::connect(&addr) {
-                Ok(cl) => cl,
-                Err(_) => return (Vec::new(), per_client, 0),
-            };
-            // Client c owns arrivals c, c+clients, c+2·clients, … of the
-            // global schedule.
-            let offset = Duration::from_secs_f64(c as f64 / rate);
-            let mut lat = Vec::with_capacity(per_client);
-            let (mut errors, mut shed) = (0usize, 0usize);
-            for i in 0..per_client {
-                let scheduled = t0 + offset + interval * (i as u32);
-                let now = Instant::now();
-                if scheduled > now {
-                    std::thread::sleep(scheduled - now);
-                }
-                let body = format!("{{\"entity\": {}, \"k\": 10}}", (c * per_client + i) % 256);
-                match client.request("POST", "/v1/align", &body) {
-                    Ok((200, _)) => lat.push(scheduled.elapsed().as_micros() as u64),
-                    Ok((503, _)) => shed += 1,
-                    _ => errors += 1,
-                }
-            }
-            (lat, errors, shed)
-        }));
-    }
-    let mut all = Vec::new();
-    let (mut errors, mut shed) = (0usize, 0usize);
-    for j in joins {
-        let (lat, e, s) = j.join().expect("client thread");
-        all.extend(lat);
-        errors += e;
-        shed += s;
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    server.shutdown();
-    desalign_parallel::set_thread_override(None);
-
-    all.sort_unstable();
-    let mean = if all.is_empty() { f64::NAN } else { all.iter().sum::<u64>() as f64 / all.len() as f64 };
-    Leg {
-        mode: "open",
-        max_batch: 16,
-        threads: 2,
-        requests: all.len(),
-        errors,
-        shed,
-        p50_us: percentile(&all, 0.50),
-        p99_us: percentile(&all, 0.99),
-        mean_us: mean,
-        offered_qps: rate,
-        qps: if wall > 0.0 { all.len() as f64 / wall } else { f64::NAN },
-    }
-}
-
-fn bench() {
-    let clients = env_usize("DESALIGN_LOADGEN_CLIENTS", 4);
-    let per_client = env_usize("DESALIGN_LOADGEN_REQUESTS", 150);
-    let out_path = std::env::var("DESALIGN_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-
-    let mut legs = Vec::new();
-    for &threads in &[1usize, 2] {
-        for &max_batch in &[1usize, 4, 16] {
-            let leg = run_leg(max_batch, threads, clients, per_client);
-            println!(
-                "loadgen: batch={:<2} threads={} → p50 {:>7.0}µs  p99 {:>7.0}µs  {:>7.0} qps  ({} req, {} errors)",
-                leg.max_batch, leg.threads, leg.p50_us, leg.p99_us, leg.qps, leg.requests, leg.errors
-            );
-            legs.push(leg);
-        }
-    }
-
-    // Open-loop legs: fixed arrival rates, offered vs. achieved QPS.
-    let rates: Vec<f64> = std::env::var("DESALIGN_LOADGEN_RATES")
-        .unwrap_or_else(|_| "2000,8000".into())
-        .split(',')
-        .filter_map(|r| r.trim().parse().ok())
-        .filter(|r: &f64| *r > 0.0)
-        .collect();
-    let open_total = env_usize("DESALIGN_LOADGEN_OPEN_REQUESTS", 400);
-    for &rate in &rates {
-        let leg = run_open_leg(rate, clients, open_total);
-        println!(
-            "loadgen: open rate={:>6.0} → offered {:>6.0} achieved {:>6.0} qps  p50 {:>7.0}µs  p99 {:>7.0}µs  ({} req, {} shed, {} errors)",
-            rate, leg.offered_qps, leg.qps, leg.p50_us, leg.p99_us, leg.requests, leg.shed, leg.errors
-        );
-        legs.push(leg);
-    }
-
-    let legs_json: Vec<Json> = legs
-        .iter()
-        .map(|l| {
-            json!({
-                "mode": l.mode,
-                "max_batch": l.max_batch,
-                "threads": l.threads,
-                "requests": l.requests,
-                "errors": l.errors,
-                "shed": l.shed,
-                "p50_us": l.p50_us,
-                "p99_us": l.p99_us,
-                "mean_us": l.mean_us,
-                "offered_qps": l.offered_qps,
-                "qps": l.qps,
-            })
-        })
-        .collect();
-    let doc = json!({
-        "schema": "serve-bench-v1",
-        "clients": clients,
-        "requests_per_client": per_client,
-        "legs": Json::Array(legs_json),
-    });
-    or_die(&format!("write {out_path}"), std::fs::write(&out_path, format!("{doc}\n")));
-    println!("loadgen: wrote {out_path}");
-
-    let mut failures = Vec::new();
-    if legs.len() < 3 {
-        failures.push(format!("only {} legs measured (need ≥ 3)", legs.len()));
-    }
-    if !legs.iter().any(|l| l.mode == "open") {
-        failures.push("no open-loop legs measured (DESALIGN_LOADGEN_RATES empty?)".into());
-    }
-    for l in &legs {
-        let tag = format!("mode={} batch={} threads={}", l.mode, l.max_batch, l.threads);
-        if l.mode == "open" && !(l.offered_qps.is_finite() && l.offered_qps > 0.0) {
-            failures.push(format!("{tag}: bogus offered rate {}", l.offered_qps));
-        }
-        if !(l.p50_us.is_finite() && l.p50_us > 0.0 && l.p99_us.is_finite() && l.p99_us > 0.0) {
-            failures.push(format!("{tag}: non-finite or zero percentile (p50 {}, p99 {})", l.p50_us, l.p99_us));
-        }
-        if !(l.qps.is_finite() && l.qps > 0.0) {
-            failures.push(format!("{tag}: bogus throughput {}", l.qps));
-        }
-        if l.errors > 0 {
-            failures.push(format!("{tag}: {} failed requests", l.errors));
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!("loadgen: serve check FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
+    let (status, body) = or_die("POST /admin/shutdown", client.request("POST", "/admin/shutdown", ""));
+    expect(status, 200, "shutdown", &body);
+    if !body.contains("draining") {
+        eprintln!("loadgen: unexpected shutdown response: {body}");
         std::process::exit(1);
     }
-    println!("loadgen: serve check passed ({} legs)", legs.len());
+    println!("loadgen: server draining");
 }
 
 fn main() {
-    match std::env::var("DESALIGN_SERVE_ADDR") {
-        Ok(addr) => smoke(&addr),
-        Err(_) => bench(),
-    }
+    let Ok(addr) = std::env::var("DESALIGN_SERVE_ADDR") else {
+        eprintln!("loadgen: set DESALIGN_SERVE_ADDR to the address of a running desalign-serve");
+        std::process::exit(2);
+    };
+    smoke(&addr);
 }

@@ -12,17 +12,15 @@
 //! Knobs (all env, see docs/SERVING.md): `DESALIGN_SEED`,
 //! `DESALIGN_SCALE`, `DESALIGN_EPOCHS`, `DESALIGN_SERVE_BACKEND`
 //! (`exact` | `ivf`), `DESALIGN_SERVE_CHECKPOINT`, plus the
-//! `DESALIGN_SERVE_*` server knobs read by `ServeConfig::from_env`.
+//! `DESALIGN_SERVE_*` server knobs read by `ServeConfig::from_env`. An
+//! unparsable numeric knob exits 1 with an error naming it.
 
 use desalign_core::{DesalignConfig, DesalignModel, RetrievalBackend};
 use desalign_mmkg::{DatasetSpec, SynthConfig};
 use desalign_serve::{AlignEngine, ServeConfig, Server};
+use desalign_util::count_var;
 use std::io::Write;
 use std::path::PathBuf;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
 
 fn or_die<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
     match result {
@@ -52,10 +50,11 @@ fn model_config(epochs: usize) -> DesalignConfig {
 }
 
 fn main() {
-    let seed = env_usize("DESALIGN_SEED", 7) as u64;
-    let scale = env_usize("DESALIGN_SCALE", 60);
-    let epochs = env_usize("DESALIGN_EPOCHS", 4);
-    let serve_cfg = ServeConfig::from_env();
+    let env = |k: &str| std::env::var(k).ok();
+    let seed: u64 = or_die("environment", count_var(&env, "DESALIGN_SEED", 7));
+    let scale: usize = or_die("environment", count_var(&env, "DESALIGN_SCALE", 60));
+    let epochs: usize = or_die("environment", count_var(&env, "DESALIGN_EPOCHS", 4));
+    let serve_cfg = or_die("environment", ServeConfig::from_env());
 
     let ds = SynthConfig::preset(DatasetSpec::FbDb15k).scaled(scale).generate(seed);
     let mut model = DesalignModel::new(model_config(epochs), &ds, seed);

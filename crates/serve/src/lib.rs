@@ -30,11 +30,13 @@
 //!   (digest-checked engine swap with rollback-by-absence, when started
 //!   via [`Server::start_reloadable`]), `POST /admin/shutdown`, typed
 //!   errors mapped to 4xx/5xx, graceful drain.
+//! - [`Client`] — a minimal keep-alive HTTP/1.1 client, for the `loadgen`
+//!   smoke client and the `serve_bench` latency bench.
 //!
 //! Every I/O boundary evaluates `desalign-failpoint` sites
 //! (`serve.read`, `serve.write`, `serve.engine`, `serve.reload`), so the
 //! fault paths above are driven deterministically by the `faults_overload`
-//! / `shutdown_race` suites and the `chaos_bench` bin — see
+//! / `shutdown_race` suites and `desalign-bench chaos_bench` — see
 //! `docs/RELIABILITY.md`.
 //!
 //! ## Determinism at the edge
@@ -84,6 +86,7 @@
 
 mod batch;
 mod cache;
+mod client;
 mod engine;
 mod http;
 mod server;
@@ -91,6 +94,7 @@ mod slot;
 
 pub use batch::Batcher;
 pub use cache::LruCache;
+pub use client::Client;
 pub use engine::{AlignAnswer, AlignEngine, AlignQuery};
 pub use http::{write_response, write_response_with, Conn, HttpRequest, ReadOutcome, MAX_HEADER_BYTES};
 pub use server::{Reloader, ServeConfig, Server};

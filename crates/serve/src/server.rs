@@ -30,7 +30,7 @@ use crate::engine::{AlignEngine, AlignQuery};
 use crate::http::{write_response, write_response_with, Conn, HttpRequest, ReadOutcome};
 use crate::slot::{BreakerConfig, EngineSlot};
 use desalign_eval::IndexKind;
-use desalign_util::{json, DefectClass, DesalignError, Json};
+use desalign_util::{count_var, json, DefectClass, DesalignError, Json};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -97,28 +97,39 @@ impl Default for ServeConfig {
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
 impl ServeConfig {
-    /// Reads every knob from `DESALIGN_SERVE_*` environment variables,
-    /// falling back to the defaults above. Documented in docs/SERVING.md.
-    pub fn from_env() -> Self {
+    /// Reads every knob from its `DESALIGN_SERVE_*` environment variable
+    /// (documented in docs/SERVING.md); an unset one takes the default
+    /// above, and a set but unparsable one is an error naming it.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_lookup(|k| std::env::var(k).ok())
+    }
+
+    /// The configuration from `lookup`, which maps a variable name to its
+    /// value if set.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let d = Self::default();
-        Self {
-            addr: std::env::var("DESALIGN_SERVE_ADDR").unwrap_or(d.addr),
-            workers: env_usize("DESALIGN_SERVE_WORKERS", d.workers).max(1),
-            max_batch: env_usize("DESALIGN_SERVE_BATCH", d.max_batch).max(1),
-            batch_window: Duration::from_micros(env_usize("DESALIGN_SERVE_WINDOW_US", 500) as u64),
-            cache_capacity: env_usize("DESALIGN_SERVE_CACHE", d.cache_capacity),
-            max_body: env_usize("DESALIGN_SERVE_MAX_BODY", d.max_body),
-            default_k: env_usize("DESALIGN_SERVE_K", d.default_k),
-            read_timeout: Duration::from_millis(env_usize("DESALIGN_SERVE_TIMEOUT_MS", 5000) as u64),
-            queue_capacity: env_usize("DESALIGN_SERVE_QUEUE", d.queue_capacity).max(1),
-            breaker_threshold: env_usize("DESALIGN_SERVE_BREAKER", d.breaker_threshold).max(1),
-            breaker_probe_every: env_usize("DESALIGN_SERVE_BREAKER_PROBE", d.breaker_probe_every).max(1),
-        }
+        Ok(Self {
+            addr: lookup("DESALIGN_SERVE_ADDR").unwrap_or(d.addr),
+            workers: count_var(&lookup, "DESALIGN_SERVE_WORKERS", d.workers)?.max(1),
+            max_batch: count_var(&lookup, "DESALIGN_SERVE_BATCH", d.max_batch)?.max(1),
+            batch_window: Duration::from_micros(count_var(
+                &lookup,
+                "DESALIGN_SERVE_WINDOW_US",
+                d.batch_window.as_micros() as u64,
+            )?),
+            cache_capacity: count_var(&lookup, "DESALIGN_SERVE_CACHE", d.cache_capacity)?,
+            max_body: count_var(&lookup, "DESALIGN_SERVE_MAX_BODY", d.max_body)?,
+            default_k: count_var(&lookup, "DESALIGN_SERVE_K", d.default_k)?,
+            read_timeout: Duration::from_millis(count_var(
+                &lookup,
+                "DESALIGN_SERVE_TIMEOUT_MS",
+                d.read_timeout.as_millis() as u64,
+            )?),
+            queue_capacity: count_var(&lookup, "DESALIGN_SERVE_QUEUE", d.queue_capacity)?.max(1),
+            breaker_threshold: count_var(&lookup, "DESALIGN_SERVE_BREAKER", d.breaker_threshold)?.max(1),
+            breaker_probe_every: count_var(&lookup, "DESALIGN_SERVE_BREAKER_PROBE", d.breaker_probe_every)?.max(1),
+        })
     }
 }
 
@@ -613,5 +624,62 @@ fn align(req: &HttpRequest, shared: &Shared, batcher: &Batcher) -> Routed {
             Routed::plain(200, json!({ "k": k, "candidates": Json::Array(cands) }).to_string())
         }
         Err(e) => Routed::plain(status_for(e.class), error_body(&e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(vars: &[(&str, &str)]) -> Result<ServeConfig, String> {
+        ServeConfig::from_lookup(|k| vars.iter().find(|(name, _)| *name == k).map(|(_, v)| v.to_string()))
+    }
+
+    #[test]
+    fn unset_variables_take_the_defaults() {
+        let (c, d) = (config(&[]).unwrap(), ServeConfig::default());
+        assert_eq!(format!("{c:?}"), format!("{d:?}"));
+    }
+
+    #[test]
+    fn set_variables_override_the_defaults_and_keep_their_clamps() {
+        let vars = [
+            ("DESALIGN_SERVE_ADDR", "0.0.0.0:8080"),
+            ("DESALIGN_SERVE_WORKERS", "0"),
+            ("DESALIGN_SERVE_BATCH", "8"),
+            ("DESALIGN_SERVE_WINDOW_US", "250"),
+            ("DESALIGN_SERVE_CACHE", "0"),
+            ("DESALIGN_SERVE_MAX_BODY", "4096"),
+            ("DESALIGN_SERVE_K", "3"),
+            ("DESALIGN_SERVE_TIMEOUT_MS", "1500"),
+            ("DESALIGN_SERVE_QUEUE", "0"),
+            ("DESALIGN_SERVE_BREAKER", "2"),
+            ("DESALIGN_SERVE_BREAKER_PROBE", "0"),
+        ];
+        let c = config(&vars).unwrap();
+        assert_eq!((c.addr.as_str(), c.workers, c.max_batch), ("0.0.0.0:8080", 1, 8));
+        assert_eq!((c.batch_window, c.read_timeout), (Duration::from_micros(250), Duration::from_millis(1500)));
+        assert_eq!((c.cache_capacity, c.max_body, c.default_k), (0, 4096, 3));
+        assert_eq!((c.queue_capacity, c.breaker_threshold, c.breaker_probe_every), (1, 2, 1));
+    }
+
+    #[test]
+    fn an_unparsable_variable_is_an_error_naming_it() {
+        let keys = [
+            "DESALIGN_SERVE_WORKERS",
+            "DESALIGN_SERVE_BATCH",
+            "DESALIGN_SERVE_WINDOW_US",
+            "DESALIGN_SERVE_CACHE",
+            "DESALIGN_SERVE_MAX_BODY",
+            "DESALIGN_SERVE_K",
+            "DESALIGN_SERVE_TIMEOUT_MS",
+            "DESALIGN_SERVE_QUEUE",
+            "DESALIGN_SERVE_BREAKER",
+            "DESALIGN_SERVE_BREAKER_PROBE",
+        ];
+        for key in keys {
+            let err = config(&[(key, "1k")]).expect_err("unparsable value accepted");
+            assert_eq!(err, format!("{key}=\"1k\" is not a non-negative integer"));
+        }
     }
 }

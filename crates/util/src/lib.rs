@@ -1,6 +1,6 @@
 //! Zero-dependency utilities for the DESAlign workspace.
 //!
-//! Three modules:
+//! Four modules:
 //!
 //! - [`mod@json`] — a hand-rolled JSON value type with a writer and a
 //!   recursive-descent parser. It replaces `serde`/`serde_json` for the
@@ -16,14 +16,18 @@
 //!   message, and a comparable cause chain. The data-plane boundaries
 //!   (loader, auditor, graph construction, model setup) all report through
 //!   it; see the "Data-plane robustness" section of `docs/RELIABILITY.md`.
+//! - [`mod@env`] — the one parse rule for numeric `DESALIGN_*` knobs
+//!   ([`count_var`]): unset takes the default, unparsable is an error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod atomicio;
+pub mod env;
 pub mod error;
 pub mod json;
 
 pub use atomicio::{atomic_write, checksum64, frame, Fnv64, read_verified, temp_path, unframe, FrameWriter, FOOTER_LEN, FOOTER_MAGIC};
+pub use env::count_var;
 pub use error::{DefectClass, DesalignError};
 pub use json::{u64_from_json, u64_to_json, FromJson, Json, JsonError, ToJson};
