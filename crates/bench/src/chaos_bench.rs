@@ -37,6 +37,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+/// Where `desalign-bench chaos_bench` writes `BENCH_chaos.json`.
+pub const OUT_DIR: &str = ".";
+
 fn exact_engine() -> AlignEngine {
     AlignEngine::from_embeddings(
         synth_matrix(128, 24, 3),

@@ -12,17 +12,16 @@ use desalign_bench::{
 use std::path::Path;
 
 /// A self-checking bench: its name and a run that writes its artifact
-/// (`BENCH_*.json` at the root, or into `results/` for the two that take
-/// the harness profile) and returns its failed checks.
+/// into its module's `OUT_DIR` and returns its failed checks.
 type Bench = (&'static str, fn() -> Vec<String>);
 
 const BENCHES: [Bench; 6] = [
-    ("chaos_bench", || chaos_bench::run(Path::new("."))),
-    ("retrieval_bench", || retrieval_bench::run(&retrieval_bench::FULL, Path::new("."))),
-    ("robustness_sweep", || robustness_sweep::run(&HarnessConfig::from_env(), Path::new("results"))),
-    ("serve_bench", || serve_bench::run(&serve_bench::FULL, Path::new("."))),
-    ("streaming_bench", || streaming_bench::run(&streaming_bench::FULL, Path::new("."))),
-    ("telemetry_report", || telemetry_report::run(&HarnessConfig::from_env(), Path::new("results"))),
+    ("chaos_bench", || chaos_bench::run(Path::new(chaos_bench::OUT_DIR))),
+    ("retrieval_bench", || retrieval_bench::run(&retrieval_bench::FULL, Path::new(retrieval_bench::OUT_DIR))),
+    ("robustness_sweep", || robustness_sweep::run(&HarnessConfig::from_env(), Path::new(robustness_sweep::OUT_DIR))),
+    ("serve_bench", || serve_bench::run(&serve_bench::FULL, Path::new(serve_bench::OUT_DIR))),
+    ("streaming_bench", || streaming_bench::run(&streaming_bench::FULL, Path::new(streaming_bench::OUT_DIR))),
+    ("telemetry_report", || telemetry_report::run(&HarnessConfig::from_env(), Path::new(telemetry_report::OUT_DIR))),
 ];
 
 fn main() {

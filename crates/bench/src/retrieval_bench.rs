@@ -44,6 +44,9 @@ pub struct Sizes {
 /// The sizes of the committed `BENCH_retrieval.json`.
 pub const FULL: Sizes = Sizes { corpus: &[1_000, 10_000, 100_000], queries: 256, samples: 3 };
 
+/// Where `desalign-bench retrieval_bench` writes `BENCH_retrieval.json`.
+pub const OUT_DIR: &str = ".";
+
 const K: usize = 10;
 const RECALL_FLOOR: f64 = 0.95;
 /// Embedding width.

@@ -33,6 +33,9 @@ fn cfg_for(h: &HarnessConfig) -> DesalignConfig {
     cfg
 }
 
+/// Where `desalign-bench robustness_sweep` writes `BENCH_robustness.json`.
+pub const OUT_DIR: &str = "results";
+
 /// Trains and evaluates one condition, returning its JSON cell.
 fn run_cell(h: &HarnessConfig, ds: &AlignmentDataset) -> Json {
     let mut model = or_die(&format!("model setup for {}", ds.name), DesalignModel::try_new(cfg_for(h), ds, h.seed));

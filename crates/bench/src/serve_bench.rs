@@ -9,9 +9,10 @@
 //!   delay is visible — the offered vs. achieved QPS gap is the overload
 //!   signal.
 //!
-//! The load shape is a [`Load`]; the binary runs [`FULL`]. After writing
-//! the artifact the run checks it: at least 3 legs ran, one of them
-//! open-loop, with finite positive percentiles, offered rates and
+//! The closed-loop load is a [`Load`]; the binary runs [`FULL`]. The
+//! open-loop legs are fixed: 400 requests at each of 2 000 and 8 000 QPS.
+//! After writing the artifact the run checks it: at least 3 legs ran, one
+//! of them open-loop, with finite positive percentiles, offered rates and
 //! throughput, and zero failed requests.
 
 use crate::{or_die, write_artifact};
@@ -21,20 +22,26 @@ use desalign_util::{json, Json};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// The load one run offers.
+/// The closed-loop load one run offers; the client count also splits
+/// each open-loop leg.
 pub struct Load {
     /// Concurrent client connections of every leg.
     pub clients: usize,
     /// Requests each client sends in a closed-loop leg.
     pub requests_per_client: usize,
-    /// Offered rates (QPS) of the open-loop legs.
-    pub rates: &'static [f64],
-    /// Requests of each open-loop leg, split across the clients.
-    pub open_requests: usize,
 }
 
 /// The load of the committed `BENCH_serve.json`.
-pub const FULL: Load = Load { clients: 4, requests_per_client: 150, rates: &[2000.0, 8000.0], open_requests: 400 };
+pub const FULL: Load = Load { clients: 4, requests_per_client: 150 };
+
+/// Offered rates (QPS) of the open-loop legs, one leg each.
+const OPEN_RATES: [f64; 2] = [2000.0, 8000.0];
+
+/// Requests of each open-loop leg, split across the clients.
+const OPEN_REQUESTS: usize = 400;
+
+/// Where `desalign-bench serve_bench` writes `BENCH_serve.json`.
+pub const OUT_DIR: &str = ".";
 
 fn splitmix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -241,8 +248,8 @@ pub fn run(load: &Load, out_dir: &Path) -> Vec<String> {
     }
 
     // Open-loop legs: fixed arrival rates, offered vs. achieved QPS.
-    for &rate in load.rates {
-        let leg = run_open_leg(rate, clients, load.open_requests);
+    for rate in OPEN_RATES {
+        let leg = run_open_leg(rate, clients, OPEN_REQUESTS);
         println!(
             "serve_bench: open rate={:>6.0} → offered {:>6.0} achieved {:>6.0} qps  p50 {:>7.0}µs  p99 {:>7.0}µs  ({} req, {} shed, {} errors)",
             rate, leg.offered_qps, leg.qps, leg.p50_us, leg.p99_us, leg.requests, leg.shed, leg.errors

@@ -54,6 +54,9 @@ pub struct Sizes {
 /// The sizes of the committed `BENCH_streaming.json`.
 pub const FULL: Sizes = Sizes { scales: &[2_000, 8_000], shard_entities: 500, samples: 3 };
 
+/// Where `desalign-bench streaming_bench` writes `BENCH_streaming.json`.
+pub const OUT_DIR: &str = ".";
+
 /// Process-wide peak RSS in bytes from `/proc/self/status`, if available.
 /// Monotone over the run, so it is informational only — the deterministic
 /// gate uses the auditor's logical `peak_payload_bytes` instead.

@@ -18,6 +18,9 @@ use desalign_telemetry as telemetry;
 use desalign_util::json;
 use std::path::Path;
 
+/// Where `desalign-bench telemetry_report` writes its two files.
+pub const OUT_DIR: &str = "results";
+
 /// Counters the trainer registers on every run, including the ones that
 /// stay zero on a clean run: dashboards must see explicit zeros.
 const REQUIRED_COUNTERS: [&str; 4] = ["train.resumes", "train.rollbacks", "tape.ws_fresh", "tape.ws_reused"];
