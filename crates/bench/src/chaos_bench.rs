@@ -16,7 +16,7 @@
 //!    (200 or a 503 shed), sheds must actually happen, and p99 of the
 //!    successful requests is recorded.
 //! 4. **breaker_degrade** — consecutive engine faults trip the breaker;
-//!    requests keep answering through the exact-scan fallback and the
+//!    requests keep answering through the exhaustive-scan fallback and the
 //!    breaker closes once faults stop; recovery time is recorded.
 //! 5. **reload_under_load** — hot checkpoint reloads (one clean, one
 //!    faulted) while align traffic flows: the faulted reload rolls back,
@@ -26,13 +26,12 @@
 //! panicked or failed scenario. The harness owns the process-global
 //! failpoint registry, so nothing else may run in its process.
 
-use crate::serve_bench::{percentile, synth_matrix};
+use crate::serve_bench::percentile;
 use crate::write_artifact;
 use desalign_mmkg::{AuditPolicy, DatasetSpec, StreamingAuditor, SynthConfig};
-use desalign_serve::{AlignEngine, ServeConfig, Server};
+use desalign_serve::{round_trip, AlignEngine, ServeConfig, Server};
+use desalign_testkit::synth_matrix;
 use desalign_util::{atomic_write, json, read_verified, Json};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -64,21 +63,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create chaos tempdir");
     dir
-}
-
-/// One full HTTP round-trip on a fresh connection. Returns `None` when
-/// the response was not well-formed HTTP (the storm scenarios count
-/// those as contract violations).
-fn round_trip(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Option<(u16, String)> {
-    let mut s = TcpStream::connect(addr).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(30))).ok()?;
-    write!(s, "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}", body.len())
-        .ok()?;
-    let mut out = String::new();
-    s.read_to_string(&mut out).ok()?;
-    let (head, body) = out.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1).and_then(|v| v.parse().ok())?;
-    Some((status, body.to_string()))
 }
 
 // ---------------------------------------------------------------------
@@ -192,14 +176,10 @@ fn socket_storm() -> Outcome {
             for i in 0..per_client {
                 let body = format!("{{\"entity\": {}, \"k\": 5}}", (c * per_client + i) % 128);
                 let t = Instant::now();
-                match round_trip(addr, "POST", "/v1/align", &body) {
-                    Some((200, _)) => ok_lat.push(t.elapsed().as_micros() as u64),
-                    Some((503, b)) if b.contains("serve.admission") => shed += 1,
-                    Some((status, b)) => {
-                        let _ = (status, b);
-                        malformed += 1;
-                    }
-                    None => malformed += 1,
+                match round_trip(addr, "POST", "/v1/align", &body, "") {
+                    Ok((200, _, _)) => ok_lat.push(t.elapsed().as_micros() as u64),
+                    Ok((503, _, b)) if b.contains("serve.admission") => shed += 1,
+                    _ => malformed += 1,
                 }
             }
             (ok_lat, shed, malformed)
@@ -224,8 +204,8 @@ fn socket_storm() -> Outcome {
 
     // Recovery: with the storm gone, a lone request is admitted.
     let t0 = Instant::now();
-    match round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 5}"#) {
-        Some((200, _)) => {}
+    match round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 5}"#, "") {
+        Ok((200, _, _)) => {}
         other => failures.push(format!("post-storm request not admitted: {other:?}")),
     }
     let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -265,13 +245,13 @@ fn breaker_degrade() -> Outcome {
     for i in 0..6 {
         let body = format!("{{\"entity\": {i}, \"k\": 5}}");
         let t = Instant::now();
-        match round_trip(addr, "POST", "/v1/align", &body) {
-            Some((200, _)) => lat_under_fault.push(t.elapsed().as_micros() as u64),
+        match round_trip(addr, "POST", "/v1/align", &body, "") {
+            Ok((200, _, _)) => lat_under_fault.push(t.elapsed().as_micros() as u64),
             other => failures.push(format!("fault {i}: fallback did not absorb the engine fault: {other:?}")),
         }
     }
-    let opened = match round_trip(addr, "GET", "/readyz", "") {
-        Some((503, b)) if b.contains("\"breaker\":\"open\"") => true,
+    let opened = match round_trip(addr, "GET", "/readyz", "", "") {
+        Ok((503, _, b)) if b.contains("\"breaker\":\"open\"") => true,
         other => {
             failures.push(format!("breaker did not open after 6 consecutive faults: {other:?}"));
             false
@@ -284,8 +264,8 @@ fn breaker_degrade() -> Outcome {
         let t0 = Instant::now();
         let mut closed = false;
         for _ in 0..10 {
-            let _ = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 5}"#);
-            if let Some((200, _)) = round_trip(addr, "GET", "/readyz", "") {
+            let _ = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 5}"#, "");
+            if let Ok((200, _, _)) = round_trip(addr, "GET", "/readyz", "", "") {
                 closed = true;
                 recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
                 break;
@@ -332,8 +312,8 @@ fn reload_under_load() -> Outcome {
             let mut i = 0usize;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let body = format!("{{\"entity\": {}, \"k\": 5}}", (c * 37 + i) % 128);
-                match round_trip(addr, "POST", "/v1/align", &body) {
-                    Some((200, _)) => ok += 1,
+                match round_trip(addr, "POST", "/v1/align", &body, "") {
+                    Ok((200, _, _)) => ok += 1,
                     _ => bad += 1,
                 }
                 i += 1;
@@ -344,8 +324,8 @@ fn reload_under_load() -> Outcome {
     std::thread::sleep(Duration::from_millis(100));
 
     // Clean reload under load.
-    match round_trip(addr, "POST", "/admin/reload", "") {
-        Some((200, b)) if b.contains("\"generation\":2") => {}
+    match round_trip(addr, "POST", "/admin/reload", "", "") {
+        Ok((200, _, b)) if b.contains("\"generation\":2") => {}
         other => failures.push(format!("clean reload under load failed: {other:?}")),
     }
     std::thread::sleep(Duration::from_millis(100));
@@ -354,14 +334,14 @@ fn reload_under_load() -> Outcome {
     // not happen and generation must stay at 2.
     desalign_failpoint::install("serve.reload=err").expect("install");
     let t0 = Instant::now();
-    match round_trip(addr, "POST", "/admin/reload", "") {
-        Some((503, _)) => {}
+    match round_trip(addr, "POST", "/admin/reload", "", "") {
+        Ok((503, _, _)) => {}
         other => failures.push(format!("faulted reload must be a 503: {other:?}")),
     }
     desalign_failpoint::clear();
     let rollback_ms = t0.elapsed().as_secs_f64() * 1e3;
-    match round_trip(addr, "GET", "/healthz", "") {
-        Some((200, b)) if b.contains("\"generation\":2") => {}
+    match round_trip(addr, "GET", "/healthz", "", "") {
+        Ok((200, _, b)) if b.contains("\"generation\":2") => {}
         other => failures.push(format!("rollback did not keep generation 2: {other:?}")),
     }
     std::thread::sleep(Duration::from_millis(100));

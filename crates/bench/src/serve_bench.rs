@@ -17,7 +17,7 @@
 
 use crate::{or_die, write_artifact};
 use desalign_serve::{AlignEngine, Client, ServeConfig, Server};
-use desalign_tensor::Matrix;
+use desalign_testkit::synth_matrix;
 use desalign_util::{json, Json};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -42,21 +42,6 @@ const OPEN_REQUESTS: usize = 400;
 
 /// Where `desalign-bench serve_bench` writes `BENCH_serve.json`.
 pub const OUT_DIR: &str = ".";
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Deterministic pseudo-random embeddings in `[-1, 1)`.
-pub(crate) fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| ((splitmix(seed.wrapping_add(i as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
 
 /// The `q`-quantile of ascending microsecond latencies (nearest rank),
 /// or NaN when there are none.

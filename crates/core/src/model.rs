@@ -186,7 +186,11 @@ impl DesalignModel {
     /// (a diverged model) or pairs outside the dataset. Either way every
     /// query counts as a miss: the metrics are zero over `pairs.len()`
     /// queries, and `retrieval.build_errors` is counted.
+    ///
+    /// One `evaluate` span owns the whole call: the encoder forward and SP
+    /// behind the embeddings, the index build and the ranking scan.
     pub fn evaluate_pairs(&self, pairs: &[(usize, usize)]) -> AlignmentMetrics {
+        let _span = desalign_telemetry::span("evaluate");
         let (z_s, z_t) = self.retrieval_embeddings();
         desalign_eval::evaluate_ranking_embeddings(&z_s, &z_t, pairs, &self.cfg.retrieval.eval_config(self.seed))
             .unwrap_or_else(|_| {

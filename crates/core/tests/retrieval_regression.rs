@@ -78,6 +78,32 @@ fn ivf_backend_stays_close_on_the_seed_workload() {
     );
 }
 
+/// (H@1, H@10, MRR) bits of the IVF backend probing 2 of its 8 cells, for
+/// the same untrained and trained seed-7 models as the exact pins. Taken
+/// when every IVF score was still a per-pair `dot`: the NT-kernel scan and
+/// k-means must keep the centroids, posting lists and candidate scores.
+const IVF_UNTRAINED_BITS: (u32, u32, u32) = (1040498081, 1062246324, 1051355998);
+const IVF_TRAINED_BITS: (u32, u32, u32) = (1041740838, 1063489081, 1052985675);
+
+#[test]
+fn ivf_backend_reproduces_pinned_bits_at_any_thread_count() {
+    let ds = seed_dataset();
+    let mut cfg = tiny_cfg();
+    cfg.retrieval.backend = RetrievalBackend::Ivf;
+    cfg.retrieval.nprobe = 2;
+    let mut model = DesalignModel::new(cfg, &ds, 7);
+    for threads in [1, 2, 7] {
+        let before = desalign_parallel::with_threads(threads, || model.evaluate(&ds));
+        assert_eq!(before.num_queries, NUM_QUERIES);
+        assert_eq!(metric_bits(&before), IVF_UNTRAINED_BITS, "untrained IVF metrics moved at {threads} threads: {before:?}");
+    }
+    model.fit(&ds);
+    for threads in [1, 2, 7] {
+        let after = desalign_parallel::with_threads(threads, || model.evaluate(&ds));
+        assert_eq!(metric_bits(&after), IVF_TRAINED_BITS, "trained IVF metrics moved at {threads} threads: {after:?}");
+    }
+}
+
 #[test]
 fn model_rejects_csls_k_larger_than_the_candidate_pool() {
     let ds = seed_dataset();

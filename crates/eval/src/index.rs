@@ -6,13 +6,13 @@
 //! candidate-set CSLS and the server all go through it, so none of them
 //! materializes the dense `n_s × n_t` similarity matrix. Two backends:
 //!
-//! - [`IndexKind::Exact`] — a sequential scan over ℓ2-normalized rows,
-//!   keeping only a bounded top-k buffer. It is **bit-identical** to the
+//! - [`IndexKind::Exact`] — a scan over every ℓ2-normalized item, keeping
+//!   only a bounded top-k buffer per query. It is **bit-identical** to the
 //!   dense [`cosine_similarity`] path: both normalize with the same
-//!   `1e-9`-eps rule and score with the same fixed-accumulator [`dot`],
-//!   and top-k selection uses a strict total order (score descending, id
-//!   ascending) whose result is independent of scan order and thread
-//!   count.
+//!   `1e-9`-eps rule and score every pair with [`dot`]'s exact 4-lane
+//!   accumulation tree, and top-k selection uses a strict total order
+//!   (score descending, id ascending) whose result is independent of scan
+//!   order and thread count.
 //! - [`IndexKind::Ivf`] — an IVF (inverted-file) index: seeded spherical
 //!   k-means over `Rng64` partitions the items into `nlist` cells; a query
 //!   scans only the `nprobe` cells whose centroids score highest. Build and
@@ -20,14 +20,33 @@
 //!   assignment parallelizes per row (each row's result depends only on
 //!   that row) and centroid updates accumulate serially in item order.
 //!
+//! **Every score goes through one GEMM kernel.** The index keeps its
+//! normalized items once, packed as [`NtPanels`]: one packing per posting
+//! list, where the exact backend is one list holding every item. The IVF
+//! centroids are packed the same way. Queries are normalized in groups of
+//! [`QUERY_BLOCK`] rows and scored against [`PANELS_PER_BLOCK`] panels at a
+//! time by the NT microkernel behind `Matrix::matmul_nt`; k-means
+//! assignment packs each round's centroids once and scores item groups the
+//! same way. That kernel computes each element with `dot`'s own 4-lane
+//! tree (the argument is in `desalign-tensor`'s `tile.rs`, pinned by its
+//! `proptest_tiled`), so a score does not depend on the block, panel or
+//! group it was computed in. Each query offers exactly the candidates it
+//! always did to its top-k buffer (or counts them for [`rank_of`]), and
+//! panel padding is never offered. Scratch is one block of scores per
+//! worker, never `n × n` or `n × nlist`. `retrieval_props` keeps the
+//! per-pair-`dot` index as its reference and checks centroid bits, posting
+//! lists, top-k bits and ranks against it at 1, 2 and 7 threads.
+//!
 //! Approximation is surfaced, never silent: telemetry counters
 //! `retrieval.probes` / `retrieval.candidates` record how much of the
 //! corpus each search touched, and the `retrieval_bench` harness plus the
 //! ci.sh recall gate enforce recall@10 ≥ 0.95 against the exact backend.
 //!
 //! [`cosine_similarity`]: crate::cosine_similarity
+//! [`dot`]: desalign_tensor::dot
+//! [`rank_of`]: ItemIndex::rank_of
 
-use desalign_tensor::{dot, rng_from_seed, Matrix, SliceRandom};
+use desalign_tensor::{rng_from_seed, Matrix, NtPanels, SliceRandom};
 use desalign_util::{DefectClass, DesalignError};
 use std::sync::OnceLock;
 
@@ -124,17 +143,51 @@ fn ensure_finite(m: &Matrix, location: &str) -> Result<(), DesalignError> {
     Ok(())
 }
 
-/// Per-row ℓ2 normalization matching `l2_normalize_rows(1e-9)` bit-for-bit
-/// (same in-order sum-of-squares, same `> eps` guard, same division).
-fn normalized_query(query: &[f32]) -> Vec<f32> {
-    let mut row = query.to_vec();
+/// In-place ℓ2 normalization of one row, matching
+/// `l2_normalize_rows(1e-9)` bit-for-bit (same in-order sum-of-squares,
+/// same `> eps` guard, same division).
+fn normalize(row: &mut [f32]) {
     let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
     if norm > 1e-9 {
-        for v in &mut row {
+        for v in row {
             *v /= norm;
         }
     }
-    row
+}
+
+// ---------------------------------------------------------------------------
+// Blocked scoring through the NT kernel.
+// ---------------------------------------------------------------------------
+
+/// Query rows normalized and scored together: one parallel job's worth,
+/// and the left-operand height of every block the kernel scores.
+const QUERY_BLOCK: usize = 64;
+
+/// Packed panels ([`NtPanels::WIDTH`] items each) scored per block. At the
+/// serve width (d ≈ 1024) a block of 8 panels is 512 KiB of items, which
+/// stays cache-resident while every 4-row group of a query block streams
+/// it; the score scratch is `QUERY_BLOCK × 128` floats.
+const PANELS_PER_BLOCK: usize = 8;
+
+/// Scores the `g` row-major rows of `rows` against every packed row of
+/// `panels`, one block of panels at a time, and calls `visit(r, j, score)`
+/// for row `r` and packed row `j` — rows ascending within a block, blocks
+/// ascending, so each row sees `j` ascending. Panel padding is never
+/// visited. `scratch` holds one block of scores.
+fn score_blocks(panels: &NtPanels, rows: &[f32], g: usize, scratch: &mut Vec<f32>, mut visit: impl FnMut(usize, usize, f32)) {
+    let np = panels.num_panels();
+    for p0 in (0..np).step_by(PANELS_PER_BLOCK) {
+        let block = p0..(p0 + PANELS_PER_BLOCK).min(np);
+        let cols = panels.panel_rows(block.clone());
+        let w = cols.len();
+        scratch.resize(g * w, 0.0);
+        panels.score_into(rows, block, &mut scratch[..g * w]);
+        for (r, scores) in scratch[..g * w].chunks_exact(w).enumerate() {
+            for (jj, &s) in scores.iter().enumerate() {
+                visit(r, cols.start + jj, s);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -163,106 +216,105 @@ impl Default for IvfParams {
     }
 }
 
-/// The IVF backend's cells: spherical k-means centroids and per-cell
-/// posting lists (ascending item order, so scans are deterministic).
-#[derive(Debug)]
-struct IvfCells {
-    centroids: Matrix,
-    lists: Vec<Vec<u32>>,
-    nprobe: usize,
+/// Seeded spherical k-means over the (already normalized) `items`: a
+/// seeded shuffle picks `nlist` distinct rows as initial centroids, then
+/// `kmeans_iters` Lloyd rounds refine them (assignment parallel per row,
+/// update serial in item order — both bit-deterministic under
+/// `DESALIGN_THREADS`). Returns the centroids and each item's final cell.
+fn kmeans(items: &Matrix, params: &IvfParams) -> (Matrix, Vec<u32>) {
+    let (n, d) = items.shape();
+    if n == 0 {
+        return (Matrix::zeros(0, d), Vec::new());
+    }
+    let nlist = if params.nlist == 0 { (n as f64).sqrt().ceil() as usize } else { params.nlist }.clamp(1, n);
+
+    // Seeded init: shuffle item positions, take the first nlist as
+    // centroid seeds. The shuffle draws from a dedicated Rng64, so the
+    // choice is a pure function of (seed, n).
+    let mut rng = rng_from_seed(params.seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut rng);
+    let mut centroids = items.gather_rows(&order[..nlist]);
+
+    let mut assign = vec![0u32; n];
+    for _ in 0..params.kmeans_iters {
+        assign_cells(items, &centroids, &mut assign);
+        // Serial, item-order centroid update: mean of members, then
+        // spherical renormalization. Empty cells keep their previous
+        // centroid (they can re-acquire members next round).
+        let mut sums = Matrix::zeros(nlist, d);
+        let mut counts = vec![0usize; nlist];
+        for (i, &c) in assign.iter().enumerate() {
+            let row = items.row(i);
+            let acc = sums.row_mut(c as usize);
+            for (a, v) in acc.iter_mut().zip(row) {
+                *a += v;
+            }
+            counts[c as usize] += 1;
+        }
+        for c in 0..nlist {
+            if counts[c] == 0 {
+                continue;
+            }
+            let inv = 1.0 / counts[c] as f32;
+            let mean: Vec<f32> = sums.row(c).iter().map(|v| v * inv).collect();
+            let norm = mean.iter().map(|v| v * v).sum::<f32>().sqrt();
+            let dst = centroids.row_mut(c);
+            if norm > 1e-9 {
+                for (o, v) in dst.iter_mut().zip(&mean) {
+                    *o = v / norm;
+                }
+            } else {
+                dst.copy_from_slice(&mean);
+            }
+        }
+    }
+    // Final assignment against the refined centroids feeds the posting
+    // lists.
+    assign_cells(items, &centroids, &mut assign);
+    (centroids, assign)
 }
 
-impl IvfCells {
-    /// Clusters the (already normalized) `items`: a seeded shuffle picks
-    /// `nlist` distinct rows as initial centroids, then `kmeans_iters`
-    /// Lloyd rounds refine them (assignment parallel per row, update serial
-    /// in item order — both bit-deterministic under `DESALIGN_THREADS`).
-    /// An empty item set builds no cells, so searches return nothing.
-    fn build(items: &Matrix, params: &IvfParams) -> Self {
-        let (n, d) = items.shape();
-        if n == 0 {
-            return Self { centroids: Matrix::zeros(0, d), lists: Vec::new(), nprobe: params.nprobe };
-        }
-        let nlist = if params.nlist == 0 { (n as f64).sqrt().ceil() as usize } else { params.nlist }.clamp(1, n);
-
-        // Seeded init: shuffle item positions, take the first nlist as
-        // centroid seeds. The shuffle draws from a dedicated Rng64, so the
-        // choice is a pure function of (seed, n).
-        let mut rng = rng_from_seed(params.seed);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let mut centroids = items.gather_rows(&order[..nlist]);
-
-        let mut assign = vec![0u32; n];
-        let assign_cost = n.saturating_mul(nlist).saturating_mul(d.max(1));
-        for _ in 0..params.kmeans_iters {
-            Self::assign_cells(items, &centroids, assign_cost, &mut assign);
-            // Serial, item-order centroid update: mean of members, then
-            // spherical renormalization. Empty cells keep their previous
-            // centroid (they can re-acquire members next round).
-            let mut sums = Matrix::zeros(nlist, d);
-            let mut counts = vec![0usize; nlist];
-            for (i, &c) in assign.iter().enumerate() {
-                let row = items.row(i);
-                let acc = sums.row_mut(c as usize);
-                for (a, v) in acc.iter_mut().zip(row) {
-                    *a += v;
-                }
-                counts[c as usize] += 1;
+/// Nearest-centroid assignment (max score, ties to the lower centroid id):
+/// the round's centroids are packed once, and each group of item rows is
+/// scored against them block by block with centroids visited ascending
+/// under a strict `>`. Each row's result depends only on that row → safe
+/// to parallelize per row group with identical bits at any thread count.
+fn assign_cells(items: &Matrix, centroids: &Matrix, assign: &mut [u32]) {
+    let (n, d) = items.shape();
+    let packed = NtPanels::pack(centroids);
+    let cost = n.saturating_mul(centroids.rows()).saturating_mul(d.max(1));
+    desalign_parallel::par_row_groups(assign, 1, QUERY_BLOCK, cost, |i0, slots| {
+        let rows = &items.as_slice()[i0 * d..(i0 + slots.len()) * d];
+        let mut best = vec![(0u32, f32::NEG_INFINITY); slots.len()];
+        score_blocks(&packed, rows, slots.len(), &mut Vec::new(), |r, c, s| {
+            if s > best[r].1 {
+                best[r] = (c as u32, s);
             }
-            for c in 0..nlist {
-                if counts[c] == 0 {
-                    continue;
-                }
-                let inv = 1.0 / counts[c] as f32;
-                let mean: Vec<f32> = sums.row(c).iter().map(|v| v * inv).collect();
-                let norm = mean.iter().map(|v| v * v).sum::<f32>().sqrt();
-                let dst = centroids.row_mut(c);
-                if norm > 1e-9 {
-                    for (o, v) in dst.iter_mut().zip(&mean) {
-                        *o = v / norm;
-                    }
-                } else {
-                    dst.copy_from_slice(&mean);
-                }
-            }
-        }
-        // Final assignment against the refined centroids feeds the posting
-        // lists; pushing in ascending item order keeps scans deterministic.
-        Self::assign_cells(items, &centroids, assign_cost, &mut assign);
-        let mut lists = vec![Vec::new(); nlist];
-        for (i, &c) in assign.iter().enumerate() {
-            lists[c as usize].push(i as u32);
-        }
-        Self { centroids, lists, nprobe: params.nprobe }
-    }
-
-    /// Nearest-centroid assignment (max dot, ties to the lower centroid
-    /// id). Each row's result depends only on that row → safe to
-    /// parallelize per row with identical bits at any thread count.
-    fn assign_cells(items: &Matrix, centroids: &Matrix, cost: usize, assign: &mut [u32]) {
-        desalign_parallel::par_rows(assign, 1, cost, |i, slot| {
-            let row = items.row(i);
-            let (mut arg, mut best) = (0u32, f32::NEG_INFINITY);
-            for c in 0..centroids.rows() {
-                let s = dot(row, centroids.row(c));
-                if s > best {
-                    best = s;
-                    arg = c as u32;
-                }
-            }
-            slot[0] = arg;
         });
-    }
-
-    /// The cells to probe for a (normalized) query row: the `nprobe`
-    /// highest-scoring centroids, ids ascending on ties.
-    fn probe_order(&self, qrow: &[f32]) -> Vec<(usize, f32)> {
-        let mut buf = TopK::new(self.nprobe);
-        for c in 0..self.centroids.rows() {
-            buf.offer(c, dot(qrow, self.centroids.row(c)));
+        for (slot, (arg, _)) in slots.iter_mut().zip(best) {
+            *slot = arg;
         }
-        buf.into_sorted()
+    });
+}
+
+/// Routes a query to the IVF cells it scans.
+#[derive(Debug)]
+struct Router {
+    /// The k-means centroids, packed for scoring.
+    centroids: NtPanels,
+    nprobe: usize,
+    /// Each item's cell.
+    cell_of: Vec<u32>,
+}
+
+impl Router {
+    /// The cells each of the `g` normalized `rows` probes: its `nprobe`
+    /// highest-scoring centroids, ids ascending on ties.
+    fn probe(&self, rows: &[f32], g: usize, scratch: &mut Vec<f32>) -> Vec<Vec<(usize, f32)>> {
+        let mut probes: Vec<TopK> = (0..g).map(|_| TopK::new(self.nprobe)).collect();
+        score_blocks(&self.centroids, rows, g, scratch, |r, c, s| probes[r].offer(c, s));
+        probes.into_iter().map(TopK::into_sorted).collect()
     }
 }
 
@@ -294,20 +346,31 @@ impl Default for RetrievalConfig {
     }
 }
 
+/// One posting list: item ids ascending, and those items' normalized rows
+/// packed in the same order.
+#[derive(Debug)]
+struct Cell {
+    ids: Vec<u32>,
+    items: NtPanels,
+}
+
 /// A nearest-neighbour index over one fixed item set; queries arrive as raw
 /// rows. `desalign-serve` builds one over the precomputed entity embeddings
 /// at startup; evaluation, mining and candidate CSLS build one per call.
 ///
 /// Every query row gets the same `1e-9`-eps normalization as
-/// `l2_normalize_rows` and is scored independently, so its answer is
-/// **bit-identical** whether it arrives alone, inside any batch
-/// composition, or at any `DESALIGN_THREADS` setting.
+/// `l2_normalize_rows` and its scores do not depend on the rows it is
+/// scored with, so its answer is **bit-identical** whether it arrives
+/// alone, inside any batch composition, or at any `DESALIGN_THREADS`
+/// setting.
 #[derive(Debug)]
 pub struct ItemIndex {
-    /// ℓ2-normalized item rows.
-    items: Matrix,
-    /// `Some` for [`IndexKind::Ivf`]: the cells a query probes.
-    cells: Option<IvfCells>,
+    dim: usize,
+    num_items: usize,
+    /// The posting lists; the exact backend has one holding every item.
+    cells: Vec<Cell>,
+    /// `Some` for [`IndexKind::Ivf`]: picks the cells a query probes.
+    router: Option<Router>,
 }
 
 impl ItemIndex {
@@ -321,25 +384,47 @@ impl ItemIndex {
             return Err(DesalignError::config("retrieval.nprobe", "nprobe must be ≥ 1 (0 cells probed would return nothing)"));
         }
         ensure_finite(items, "retrieval.items")?;
-        let _span = (cfg.kind == IndexKind::Ivf).then(|| desalign_telemetry::span("retrieval.build"));
-        let items = items.l2_normalize_rows(1e-9);
-        let cells = (cfg.kind == IndexKind::Ivf).then(|| IvfCells::build(&items, &cfg.ivf));
-        Ok(Self { items, cells })
+        let (n, dim) = items.shape();
+        if cfg.kind == IndexKind::Exact {
+            let packed = NtPanels::pack_from(n, dim, |j, row| {
+                row.copy_from_slice(items.row(j));
+                normalize(row);
+            });
+            let cells = vec![Cell { ids: (0..n as u32).collect(), items: packed }];
+            return Ok(Self { dim, num_items: n, cells, router: None });
+        }
+        let _span = desalign_telemetry::span("retrieval.build");
+        let normalized = items.l2_normalize_rows(1e-9);
+        let (centroids, cell_of) = kmeans(&normalized, &cfg.ivf);
+        // Posting lists in ascending item order, each packed once.
+        let mut lists = vec![Vec::new(); centroids.rows()];
+        for (i, &c) in cell_of.iter().enumerate() {
+            lists[c as usize].push(i as u32);
+        }
+        let cells = lists
+            .into_iter()
+            .map(|ids| {
+                let items = NtPanels::pack_from(ids.len(), dim, |j, row| row.copy_from_slice(normalized.row(ids[j] as usize)));
+                Cell { ids, items }
+            })
+            .collect();
+        let router = Router { centroids: NtPanels::pack(&centroids), nprobe: cfg.ivf.nprobe, cell_of };
+        Ok(Self { dim, num_items: n, cells, router: Some(router) })
     }
 
     /// Number of indexed items.
     pub fn num_items(&self) -> usize {
-        self.items.rows()
+        self.num_items
     }
 
     /// Embedding width every query must match.
     pub fn dim(&self) -> usize {
-        self.items.cols()
+        self.dim
     }
 
     /// Which backend this index was built with.
     pub fn kind(&self) -> IndexKind {
-        if self.cells.is_some() {
+        if self.router.is_some() {
             IndexKind::Ivf
         } else {
             IndexKind::Exact
@@ -348,7 +433,19 @@ impl ItemIndex {
 
     /// Number of IVF k-means cells; 0 for the exact backend.
     pub fn num_cells(&self) -> usize {
-        self.cells.as_ref().map_or(0, |c| c.lists.len())
+        if self.router.is_some() {
+            self.cells.len()
+        } else {
+            0
+        }
+    }
+
+    /// The IVF backend's k-means centroids (row-major) and posting lists
+    /// (item ids ascending); `None` for the exact backend. For audits and
+    /// tests: searches never need them unpacked.
+    pub fn ivf_cells(&self) -> Option<(Matrix, Vec<&[u32]>)> {
+        let router = self.router.as_ref()?;
+        Some((router.centroids.unpack(), self.cells.iter().map(|c| c.ids.as_slice()).collect()))
     }
 
     /// Validates one query row: width must match the index, values must be
@@ -381,43 +478,96 @@ impl ItemIndex {
         ensure_finite(queries, location)
     }
 
-    /// Calls `visit(item)` for every item a search for the normalized
-    /// `qrow` examines — all of them (exact) or the posting lists of the
-    /// `nprobe` best cells (IVF) — and counts the search volume.
-    #[inline]
-    fn for_each_candidate(&self, qrow: &[f32], mut visit: impl FnMut(usize)) {
-        match &self.cells {
-            None => {
-                let n = self.items.rows();
-                count_search(1, n as u64);
-                (0..n).for_each(visit);
-            }
-            Some(cells) => {
-                let probes = cells.probe_order(qrow);
-                let mut scanned = 0u64;
-                for &(cell, _) in &probes {
-                    scanned += cells.lists[cell].len() as u64;
-                    cells.lists[cell].iter().for_each(|&i| visit(i as usize));
+    /// Scores the `g` normalized `rows` against every item they examine —
+    /// all of them (exact, or `exhaustive`) or the posting lists of each
+    /// row's `nprobe` best cells (IVF) — calling `visit(r, item, score)`,
+    /// and counts the search volume.
+    fn scan(&self, rows: &[f32], g: usize, exhaustive: bool, mut visit: impl FnMut(usize, usize, f32)) {
+        let mut scratch = Vec::new();
+        match &self.router {
+            Some(router) if !exhaustive => {
+                let d = self.dim;
+                for (r, probes) in router.probe(rows, g, &mut scratch).into_iter().enumerate() {
+                    let row = &rows[r * d..(r + 1) * d];
+                    let mut scanned = 0u64;
+                    for &(c, _) in &probes {
+                        let cell = &self.cells[c];
+                        scanned += cell.ids.len() as u64;
+                        score_blocks(&cell.items, row, 1, &mut scratch, |_, j, s| visit(r, cell.ids[j] as usize, s));
+                    }
+                    count_search(probes.len() as u64, scanned);
                 }
-                count_search(probes.len() as u64, scanned);
+            }
+            _ => {
+                for cell in &self.cells {
+                    score_blocks(&cell.items, rows, g, &mut scratch, |r, j, s| visit(r, cell.ids[j] as usize, s));
+                }
+                count_search(g as u64, (g * self.num_items) as u64);
             }
         }
     }
 
-    /// Top-k scan for an already normalized query row.
-    fn scan(&self, qrow: &[f32], k: usize) -> Vec<(usize, f32)> {
-        let mut buf = TopK::new(k);
-        self.for_each_candidate(qrow, |j| buf.offer(j, dot(qrow, self.items.row(j))));
-        buf.into_sorted()
+    /// The score of `item` for the normalized `row`: its packed panel alone
+    /// through the same kernel, so it equals the score a scan computes.
+    fn score_item(&self, row: &[f32], item: usize) -> f32 {
+        let (cell, pos) = match &self.router {
+            None => (&self.cells[0], item),
+            Some(router) => {
+                let cell = &self.cells[router.cell_of[item] as usize];
+                (cell, cell.ids.binary_search(&(item as u32)).expect("every item sits in its cell's list"))
+            }
+        };
+        let panel = pos / NtPanels::WIDTH;
+        let cols = cell.items.panel_rows(panel..panel + 1);
+        let mut scores = [0.0f32; NtPanels::WIDTH];
+        cell.items.score_into(row, panel..panel + 1, &mut scores[..cols.len()]);
+        scores[pos - cols.start]
     }
 
-    /// Optimistic competition rank of `gold` for an already normalized
-    /// query row: `1 + |{examined items scoring strictly above gold}|`.
-    fn rank(&self, qrow: &[f32], gold: usize) -> usize {
-        let gold_score = dot(qrow, self.items.row(gold));
-        let mut above = 0usize;
-        self.for_each_candidate(qrow, |j| above += usize::from(dot(qrow, self.items.row(j)) > gold_score));
-        1 + above
+    /// Top-`k` lists for every row of `queries` (already validated).
+    fn top_k(&self, queries: &Matrix, k: usize, exhaustive: bool) -> Vec<Vec<(usize, f32)>> {
+        let mut lists: Vec<Vec<(usize, f32)>> = vec![Vec::new(); queries.rows()];
+        self.par_query_groups(queries, &mut lists, |_, rows, out| {
+            let mut top: Vec<TopK> = (0..out.len()).map(|_| TopK::new(k)).collect();
+            self.scan(rows, out.len(), exhaustive, |r, j, s| top[r].offer(j, s));
+            for (o, t) in out.iter_mut().zip(top) {
+                *o = t.into_sorted();
+            }
+        });
+        lists
+    }
+
+    /// Optimistic competition rank of `gold(q)` for every row `q` of
+    /// `queries` (already validated): `1 + |{examined items scoring
+    /// strictly above gold}|`.
+    fn ranks(&self, queries: &Matrix, gold: impl Fn(usize) -> usize + Sync) -> Vec<usize> {
+        let d = self.dim;
+        let mut ranks = vec![0usize; queries.rows()];
+        self.par_query_groups(queries, &mut ranks, |q0, rows, out| {
+            let gold_scores: Vec<f32> =
+                (0..out.len()).map(|r| self.score_item(&rows[r * d..(r + 1) * d], gold(q0 + r))).collect();
+            let mut above = vec![0usize; out.len()];
+            self.scan(rows, out.len(), false, |r, _, s| above[r] += usize::from(s > gold_scores[r]));
+            for (o, a) in out.iter_mut().zip(above) {
+                *o = 1 + a;
+            }
+        });
+        ranks
+    }
+
+    /// Fills `out[q]` for every query row, in parallel over groups of
+    /// [`QUERY_BLOCK`] rows: `f(q0, rows, out_group)` gets the group's first
+    /// row and its rows normalized, row-major.
+    fn par_query_groups<T: Send>(&self, queries: &Matrix, out: &mut [T], f: impl Fn(usize, &[f32], &mut [T]) + Sync) {
+        let d = self.dim;
+        let cost = out.len().saturating_mul(self.num_items).saturating_mul(d.max(1));
+        desalign_parallel::par_row_groups(out, 1, QUERY_BLOCK, cost, |q0, group| {
+            let mut rows = queries.as_slice()[q0 * d..(q0 + group.len()) * d].to_vec();
+            if d > 0 {
+                rows.chunks_exact_mut(d).for_each(normalize);
+            }
+            f(q0, &rows, group);
+        });
     }
 
     /// The `k` best items for one raw (un-normalized) query row, sorted by
@@ -428,7 +578,7 @@ impl ItemIndex {
     /// [`DefectClass::NonFiniteFeature`] on NaN/±∞ values.
     pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<(usize, f32)>, DesalignError> {
         self.check_query(query, "ItemIndex::search")?;
-        Ok(self.scan(&normalized_query(query), k))
+        Ok(self.top_k(&Matrix::from_vec(1, query.len(), query.to_vec()), k, false).remove(0))
     }
 
     /// Rank (1-based) of item `gold` for one raw query row:
@@ -448,42 +598,54 @@ impl ItemIndex {
                 format!("gold item {gold} out of bounds for {} items", self.num_items()),
             ));
         }
-        Ok(self.rank(&normalized_query(query), gold))
+        Ok(self.ranks(&Matrix::from_vec(1, query.len(), query.to_vec()), |_| gold)[0])
     }
 
-    /// [`search`](Self::search) over every row of `queries`, parallel per
-    /// row over `desalign-parallel`. Each row is normalized and scanned
-    /// independently, so the result is bit-identical to calling `search`
-    /// row by row, regardless of batch composition or thread count.
+    /// [`search`](Self::search) over every row of `queries`, parallel over
+    /// query groups. Each row is normalized and scored independently of the
+    /// others, so the result is bit-identical to calling `search` row by
+    /// row, regardless of batch composition or thread count.
     ///
     /// # Errors
     /// Validates every row **before** scanning any, so a poisoned row in a
     /// batch fails the whole call instead of half-answering.
     pub fn search_batch(&self, queries: &Matrix, k: usize) -> Result<Vec<Vec<(usize, f32)>>, DesalignError> {
         self.check_batch(queries, "ItemIndex::search_batch")?;
-        let mut lists: Vec<Vec<(usize, f32)>> = vec![Vec::new(); queries.rows()];
-        self.par_queries(&mut lists, |q| self.scan(&normalized_query(queries.row(q)), k));
-        Ok(lists)
+        Ok(self.top_k(queries, k, false))
+    }
+
+    /// [`search_batch`](Self::search_batch) over **every** item, whatever
+    /// the backend: an IVF index scans all of its cells instead of the
+    /// probed ones. The scores are the same kernel's and the top-k order is
+    /// offer-order invariant, so the lists are bit-identical to an
+    /// [`IndexKind::Exact`] index's over the same items. The serve circuit
+    /// breaker answers from it while the IVF probe is suspected faulty.
+    ///
+    /// # Errors
+    /// As [`search_batch`](Self::search_batch).
+    pub fn search_batch_exhaustive(&self, queries: &Matrix, k: usize) -> Result<Vec<Vec<(usize, f32)>>, DesalignError> {
+        self.check_batch(queries, "ItemIndex::search_batch_exhaustive")?;
+        Ok(self.top_k(queries, k, true))
     }
 
     /// [`rank_of`](Self::rank_of) for query row `i` of `queries` against
-    /// gold item `i`, parallel per row — the evaluation protocol once the
-    /// pair rows are gathered.
+    /// gold item `i`, parallel over query groups — the evaluation protocol
+    /// once the pair rows are gathered.
     ///
     /// # Errors
-    /// As [`search_batch`](Self::search_batch). `queries` must have at most
-    /// [`num_items`](Self::num_items) rows.
-    pub(crate) fn rank_diagonal(&self, queries: &Matrix) -> Result<Vec<usize>, DesalignError> {
+    /// As [`search_batch`](Self::search_batch), plus
+    /// [`DefectClass::PairOutOfRange`] when `queries` has more rows than the
+    /// index has items.
+    pub fn rank_diagonal(&self, queries: &Matrix) -> Result<Vec<usize>, DesalignError> {
         self.check_batch(queries, "ItemIndex::rank_diagonal")?;
-        let mut ranks = vec![0usize; queries.rows()];
-        self.par_queries(&mut ranks, |i| self.rank(&normalized_query(queries.row(i)), i));
-        Ok(ranks)
-    }
-
-    /// Fills `out[q] = f(q)` for every query, in parallel.
-    fn par_queries<T: Send>(&self, out: &mut [T], f: impl Fn(usize) -> T + Sync) {
-        let cost = out.len().saturating_mul(self.num_items()).saturating_mul(self.dim().max(1));
-        desalign_parallel::par_rows(out, 1, cost, |q, slot| slot[0] = f(q));
+        if queries.rows() > self.num_items() {
+            return Err(DesalignError::new(
+                DefectClass::PairOutOfRange,
+                "ItemIndex::rank_diagonal",
+                format!("{} query rows for {} gold items", queries.rows(), self.num_items()),
+            ));
+        }
+        Ok(self.ranks(queries, |i| i))
     }
 }
 

@@ -12,7 +12,11 @@
 //! - candidate-set CSLS reproduces the dense `csls_rescale` entries
 //!   bit-for-bit when the candidate lists are exact and full-length;
 //! - embedding-level mutual-NN mining with the exact backend reproduces the
-//!   historical dense `mutual_nearest_neighbours`.
+//!   historical dense `mutual_nearest_neighbours`;
+//! - both backends reproduce the per-pair-`dot` index they replaced: the
+//!   same k-means centroid bits and posting lists, the same `search_batch`
+//!   ids and score bits, the same `rank_diagonal` ranks, at 1, 2 and 7
+//!   threads (the reference is kept below as [`dot_reference`]).
 
 use desalign_eval::{
     csls_rescale, csls_rescale_candidates, cosine_similarity, evaluate_ranking, evaluate_ranking_embeddings,
@@ -21,7 +25,7 @@ use desalign_eval::{
 };
 use desalign_parallel::with_threads;
 use desalign_testkit::{self as testkit, ensure, ensure_eq, gen};
-use desalign_tensor::Matrix;
+use desalign_tensor::{dot, rng_from_seed, Matrix, SliceRandom};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -256,6 +260,174 @@ fn exact_embedding_evaluation_matches_dense_bitwise() {
                 ensure_eq!(got.hits_at_10.to_bits(), want.hits_at_10.to_bits());
                 ensure_eq!(got.mrr.to_bits(), want.mrr.to_bits());
                 ensure_eq!(got.num_queries, want.num_queries);
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The index as it was before its scores went through the NT kernel: one
+/// `dot` per (query, item) and (item, centroid) pair. Kept as the reference
+/// the kernel-backed index must equal bit for bit.
+mod dot_reference {
+    use super::*;
+
+    /// `(centroids, posting lists)` of the seeded spherical k-means over
+    /// the normalized `items`.
+    pub fn kmeans(items: &Matrix, params: &IvfParams) -> (Matrix, Vec<Vec<u32>>) {
+        let (n, d) = items.shape();
+        if n == 0 {
+            return (Matrix::zeros(0, d), Vec::new());
+        }
+        let nlist = if params.nlist == 0 { (n as f64).sqrt().ceil() as usize } else { params.nlist }.clamp(1, n);
+        let mut rng = rng_from_seed(params.seed);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut rng);
+        let mut centroids = items.gather_rows(&order[..nlist]);
+        let assign = |centroids: &Matrix| -> Vec<usize> {
+            (0..n)
+                .map(|i| {
+                    let (mut arg, mut best) = (0, f32::NEG_INFINITY);
+                    for c in 0..centroids.rows() {
+                        let s = dot(items.row(i), centroids.row(c));
+                        if s > best {
+                            best = s;
+                            arg = c;
+                        }
+                    }
+                    arg
+                })
+                .collect()
+        };
+        for _ in 0..params.kmeans_iters {
+            let cells = assign(&centroids);
+            let mut sums = Matrix::zeros(nlist, d);
+            let mut counts = vec![0usize; nlist];
+            for (i, &c) in cells.iter().enumerate() {
+                for (a, v) in sums.row_mut(c).iter_mut().zip(items.row(i)) {
+                    *a += v;
+                }
+                counts[c] += 1;
+            }
+            for c in 0..nlist {
+                if counts[c] == 0 {
+                    continue;
+                }
+                let inv = 1.0 / counts[c] as f32;
+                let mean: Vec<f32> = sums.row(c).iter().map(|v| v * inv).collect();
+                let norm = mean.iter().map(|v| v * v).sum::<f32>().sqrt();
+                let dst = centroids.row_mut(c);
+                if norm > 1e-9 {
+                    for (o, v) in dst.iter_mut().zip(&mean) {
+                        *o = v / norm;
+                    }
+                } else {
+                    dst.copy_from_slice(&mean);
+                }
+            }
+        }
+        let mut lists = vec![Vec::new(); nlist];
+        for (i, c) in assign(&centroids).into_iter().enumerate() {
+            lists[c].push(i as u32);
+        }
+        (centroids, lists)
+    }
+
+    /// Score descending, id ascending.
+    fn order(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+        b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
+    }
+
+    /// The items a normalized query examines, each with its `dot` score:
+    /// every item, or the posting lists of the `nprobe` best centroids.
+    pub fn candidates(q: &[f32], items: &Matrix, ivf: Option<(&Matrix, &[Vec<u32>], usize)>) -> Vec<(usize, f32)> {
+        let ids: Vec<usize> = match ivf {
+            None => (0..items.rows()).collect(),
+            Some((centroids, lists, nprobe)) => {
+                let mut probes: Vec<(usize, f32)> = (0..centroids.rows()).map(|c| (c, dot(q, centroids.row(c)))).collect();
+                probes.sort_by(order);
+                probes.truncate(nprobe);
+                probes.iter().flat_map(|&(c, _)| lists[c].iter().map(|&i| i as usize)).collect()
+            }
+        };
+        ids.into_iter().map(|j| (j, dot(q, items.row(j)))).collect()
+    }
+
+    pub fn top_k(mut cands: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f32)> {
+        cands.sort_by(order);
+        cands.truncate(k);
+        cands
+    }
+
+    pub fn rank(q: &[f32], items: &Matrix, gold: usize, cands: &[(usize, f32)]) -> usize {
+        let gold_score = dot(q, items.row(gold));
+        1 + cands.iter().filter(|&&(_, s)| s > gold_score).count()
+    }
+}
+
+#[test]
+fn kernel_index_reproduces_the_per_pair_dot_index() {
+    testkit::check(
+        "kernel_index_matches_dot_reference",
+        24,
+        |rng| {
+            // Mostly small shapes (d < 4, d % 4 != 0, n < 16, 1-item cells,
+            // nlist = n, empty); one case in four is large enough to clear
+            // the parallel dispatch threshold in build and search.
+            let large = rng.gen_bool(0.25);
+            let n = if large { rng.gen_range(500..800usize) } else { rng.gen_range(0..40usize) };
+            let d = if large { rng.gen_range(30..50usize) } else { rng.gen_range(1..12usize) };
+            let nlist = match rng.gen_range(0..4usize) {
+                0 => n.max(1),
+                1 => 0,
+                _ => rng.gen_range(1..=n.max(1)),
+            };
+            let nprobe = rng.gen_range(1..=nlist.max(1) + 1);
+            let params = IvfParams { nlist, nprobe, kmeans_iters: rng.gen_range(0..4usize), seed: rng.gen_range(0..1000u64) };
+            let (queries, items) = if large {
+                clustered(rng, 150, n, d, 12)
+            } else {
+                let nq = rng.gen_range(0..=n);
+                (gen::matrix(rng, nq, d, -1.0, 1.0), gen::matrix(rng, n, d, -1.0, 1.0))
+            };
+            let k = rng.gen_range(0..=n + 2);
+            (queries, items, params, k)
+        },
+        |(queries, items, params, k)| {
+            let normalized = items.l2_normalize_rows(1e-9);
+            let nq = queries.l2_normalize_rows(1e-9);
+            let (centroids, lists) = dot_reference::kmeans(&normalized, params);
+            let want_lists: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+            for kind in [IndexKind::Exact, IndexKind::Ivf] {
+                let ivf = (kind == IndexKind::Ivf).then_some((&centroids, &lists[..], params.nprobe));
+                let cands: Vec<Vec<(usize, f32)>> =
+                    (0..nq.rows()).map(|q| dot_reference::candidates(nq.row(q), &normalized, ivf)).collect();
+                let want_top: Vec<Vec<(usize, f32)>> = cands.iter().map(|c| dot_reference::top_k(c.clone(), *k)).collect();
+                let diagonal = nq.rows().min(items.rows());
+                let want_ranks: Vec<usize> =
+                    (0..diagonal).map(|q| dot_reference::rank(nq.row(q), &normalized, q, &cands[q])).collect();
+                let cfg = RetrievalConfig { kind, ivf: *params };
+                for threads in [1, 2, 7] {
+                    with_threads(threads, || {
+                        let index = ItemIndex::build(items, &cfg).map_err(|e| e.to_string())?;
+                        match index.ivf_cells() {
+                            Some((got_centroids, got_lists)) => {
+                                ensure!(kind == IndexKind::Ivf, "exact index reports IVF cells");
+                                ensure!(
+                                    got_centroids.as_slice().iter().map(|v| v.to_bits()).eq(centroids.as_slice().iter().map(|v| v.to_bits())),
+                                    "{threads} threads: centroid bits diverged"
+                                );
+                                ensure!(got_lists == want_lists, "{threads} threads: posting lists diverged");
+                            }
+                            None => ensure!(kind == IndexKind::Exact, "IVF index reports no cells"),
+                        }
+                        let got = index.search_batch(queries, *k).map_err(|e| e.to_string())?;
+                        ensure!(bits(&got) == bits(&want_top), "{kind:?} at {threads} threads: search_batch diverged");
+                        let got = index.rank_diagonal(&queries.slice_rows(0, diagonal)).map_err(|e| e.to_string())?;
+                        ensure_eq!(got, want_ranks);
+                        Ok::<_, String>(())
+                    })?;
+                }
             }
             Ok(())
         },

@@ -41,11 +41,6 @@ pub struct AlignAnswer {
 pub struct AlignEngine {
     queries: Matrix,
     index: ItemIndex,
-    /// Exact-scan shadow index, built only when the primary is IVF. The
-    /// circuit breaker (`EngineSlot`) answers from it while the primary
-    /// is suspected faulty — exact scan has no probe-list tuning to go
-    /// wrong and is the recall reference the IVF harness audits against.
-    fallback: Option<ItemIndex>,
     cache: Mutex<LruCache>,
 }
 
@@ -71,13 +66,7 @@ impl AlignEngine {
             ));
         }
         let index = ItemIndex::build(&items, cfg)?;
-        let fallback = if index.kind() == IndexKind::Ivf {
-            let exact = RetrievalConfig { kind: IndexKind::Exact, ..cfg.clone() };
-            Some(ItemIndex::build(&items, &exact)?)
-        } else {
-            None
-        };
-        Ok(Self { queries, index, fallback, cache: Mutex::new(LruCache::new(cache_capacity)) })
+        Ok(Self { queries, index, cache: Mutex::new(LruCache::new(cache_capacity)) })
     }
 
     /// Builds an engine from a trained model: the per-round L2-normalized
@@ -184,27 +173,25 @@ impl AlignEngine {
     /// list to each request's own `k` is bit-identical to answering that
     /// request alone — batch composition can never change response bytes.
     pub fn answer_batch(&self, batch: &[(AlignQuery, usize)]) -> Vec<Result<AlignAnswer, DesalignError>> {
-        self.answer_batch_on(&self.index, batch)
+        self.answer_batch_on(batch, false)
     }
 
-    /// Whether a degraded-mode shadow index exists (true iff the primary
-    /// backend is IVF).
+    /// Whether degraded answers differ from primary ones: true iff the
+    /// primary backend is IVF (an exact index already scans every item).
     pub fn has_fallback(&self) -> bool {
-        self.fallback.is_some()
+        self.index.kind() == IndexKind::Ivf
     }
 
-    /// [`answer_batch`](Self::answer_batch) through the exact-scan shadow
-    /// index. Falls through to the primary when no fallback exists (the
-    /// primary already *is* the exact scan then). Used by the circuit
-    /// breaker while the primary backend is suspected faulty.
+    /// [`answer_batch`](Self::answer_batch) through an exhaustive scan of
+    /// every cell of the primary index
+    /// ([`ItemIndex::search_batch_exhaustive`]): the exact answers, bit for
+    /// bit, with no probe list to go wrong. Used by the circuit breaker
+    /// while the primary backend is suspected faulty.
     pub fn answer_batch_degraded(&self, batch: &[(AlignQuery, usize)]) -> Vec<Result<AlignAnswer, DesalignError>> {
-        match &self.fallback {
-            Some(exact) => self.answer_batch_on(exact, batch),
-            None => self.answer_batch_on(&self.index, batch),
-        }
+        self.answer_batch_on(batch, true)
     }
 
-    fn answer_batch_on(&self, index: &ItemIndex, batch: &[(AlignQuery, usize)]) -> Vec<Result<AlignAnswer, DesalignError>> {
+    fn answer_batch_on(&self, batch: &[(AlignQuery, usize)], exhaustive: bool) -> Vec<Result<AlignAnswer, DesalignError>> {
         let _span = desalign_telemetry::span("serve.batch");
         let mut out: Vec<Option<Result<AlignAnswer, DesalignError>>> = batch.iter().map(|_| None).collect();
         let mut rows: Vec<f32> = Vec::new();
@@ -225,7 +212,12 @@ impl AlignEngine {
             // Featurization already validated every row, so the only
             // errors left are construction-time ones that cannot occur
             // here; map them defensively anyway.
-            match index.search_batch(&stacked, max_k) {
+            let lists = if exhaustive {
+                self.index.search_batch_exhaustive(&stacked, max_k)
+            } else {
+                self.index.search_batch(&stacked, max_k)
+            };
+            match lists {
                 Ok(lists) => {
                     for (slot, mut list) in slots.into_iter().zip(lists) {
                         list.truncate(batch[slot].1);
@@ -302,27 +294,28 @@ mod tests {
     #[test]
     fn ivf_engine_carries_an_exact_fallback_and_degraded_answers_match_exact() {
         use desalign_eval::IvfParams;
-        let queries = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        let items = Matrix::from_rows(&[&[1.0, 0.0], &[0.7, 0.7], &[0.0, 1.0], &[0.5, 0.1]]);
+        use desalign_tensor::{normal_matrix, rng_from_seed};
+        let mut rng = rng_from_seed(5);
+        let queries = normal_matrix(&mut rng, 40, 19, 0.0, 1.0);
+        let items = normal_matrix(&mut rng, 150, 19, 0.0, 1.0);
         let ivf_cfg = RetrievalConfig {
             kind: IndexKind::Ivf,
-            ivf: IvfParams { nlist: 2, nprobe: 1, kmeans_iters: 2, seed: 7 },
+            ivf: IvfParams { nlist: 9, nprobe: 1, kmeans_iters: 3, seed: 7 },
         };
         let ivf = AlignEngine::from_embeddings(queries.clone(), items.clone(), &ivf_cfg, 8).unwrap();
         let exact = AlignEngine::from_embeddings(queries, items, &RetrievalConfig::default(), 8).unwrap();
         assert!(ivf.has_fallback());
         assert!(!exact.has_fallback());
-        let batch = vec![(AlignQuery::Entity(0), 3), (AlignQuery::Entity(2), 2)];
-        let degraded = ivf.answer_batch_degraded(&batch);
-        let reference = exact.answer_batch(&batch);
-        for (d, r) in degraded.iter().zip(&reference) {
-            assert_eq!(d.as_ref().unwrap(), r.as_ref().unwrap());
-        }
-        // Without a fallback, degraded answers fall through to the primary.
-        assert_eq!(
-            exact.answer_batch_degraded(&batch)[0].as_ref().unwrap(),
-            reference[0].as_ref().unwrap()
-        );
+        let batch: Vec<(AlignQuery, usize)> = (0..40).map(|id| (AlignQuery::Entity(id), 1 + id % 12)).collect();
+        let bits = |answers: Vec<Result<AlignAnswer, DesalignError>>| -> Vec<Vec<(usize, u32)>> {
+            answers.into_iter().map(|a| a.unwrap().candidates.iter().map(|&(i, s)| (i, s.to_bits())).collect()).collect()
+        };
+        let reference = bits(exact.answer_batch(&batch));
+        assert_eq!(bits(ivf.answer_batch_degraded(&batch)), reference);
+        // One probed cell of nine misses some exact answers.
+        assert_ne!(bits(ivf.answer_batch(&batch)), reference);
+        // An exact engine's degraded answers are its primary answers.
+        assert_eq!(bits(exact.answer_batch_degraded(&batch)), reference);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!
 //! - [`AlignEngine`] — the read-only core: a query-side embedding table,
 //!   an `ItemIndex` over the target corpus (exact or IVF, per the
-//!   checkpoint's retrieval settings), an exact-scan fallback index for
-//!   IVF engines, and an [`LruCache`] for entity-id featurizations.
+//!   checkpoint's retrieval settings) whose exhaustive scan is the
+//!   degraded-mode fallback for IVF engines, and an [`LruCache`] for
+//!   entity-id featurizations.
 //! - [`EngineSlot`] — the mutable cell between batcher and engine: an
 //!   atomically swappable `Arc<AlignEngine>` (hot checkpoint reload) plus
-//!   a circuit breaker that routes batches to the fallback after
+//!   a circuit breaker that routes batches to the exhaustive scan after
 //!   [`BreakerConfig::threshold`] consecutive engine faults and closes
 //!   again on a clean half-open probe.
 //! - [`Batcher`] — time/size-windowed coalescing: concurrent requests
@@ -94,7 +95,7 @@ mod slot;
 
 pub use batch::Batcher;
 pub use cache::LruCache;
-pub use client::Client;
+pub use client::{round_trip, Client};
 pub use engine::{AlignAnswer, AlignEngine, AlignQuery};
 pub use http::{write_response, write_response_with, Conn, HttpRequest, ReadOutcome, MAX_HEADER_BYTES};
 pub use server::{Reloader, ServeConfig, Server};

@@ -72,7 +72,7 @@ pub struct ServeConfig {
     /// with 503 + `Retry-After` instead of queueing without bound.
     pub queue_capacity: usize,
     /// Circuit breaker: consecutive engine-fault batches before the
-    /// server degrades to the exact-scan fallback.
+    /// server degrades to the exhaustive-scan fallback.
     pub breaker_threshold: usize,
     /// Circuit breaker: while open, probe the primary every this-many
     /// batches.

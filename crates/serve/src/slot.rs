@@ -16,15 +16,15 @@
 //! primary index — in practice only injectable via the `serve.engine`
 //! failpoint or a genuinely broken backend) are counted per batch. After
 //! `threshold` *consecutive* faulty batches the breaker opens and batches
-//! are answered through the engine's exact-scan shadow index
-//! ([`AlignEngine::answer_batch_degraded`]) — degraded recall beats
-//! refusing to answer. While open, every `probe_every`-th batch is sent
+//! are answered by an exhaustive scan of every cell of the engine's index
+//! ([`AlignEngine::answer_batch_degraded`]) — the exact answers, at a
+//! higher cost per query, beat refusing to answer. While open, every `probe_every`-th batch is sent
 //! to the primary as a half-open probe; one clean probe closes the
 //! breaker. The degraded path never evaluates the failpoint, so a chaos
 //! schedule that breaks the primary cannot also break the fallback.
 //!
 //! Counters: `serve.breaker_open` / `serve.breaker_close` (transitions),
-//! `serve.degraded_answers` (queries answered via the shadow index),
+//! `serve.degraded_answers` (queries answered by the exhaustive scan),
 //! `serve.engine_faults` (faulty batches observed).
 
 use crate::engine::{AlignAnswer, AlignEngine, AlignQuery};
@@ -136,7 +136,7 @@ impl EngineSlot {
             }
             // A faulted probe (or pre-open batch) still owes answers:
             // retry the batch degraded rather than surfacing 503s for
-            // queries the shadow index can serve.
+            // queries the exhaustive scan can serve.
             if engine.has_fallback() {
                 desalign_telemetry::counter("serve.degraded_answers").add(batch.len() as u64);
                 return engine.answer_batch_degraded(batch);
@@ -199,7 +199,7 @@ mod tests {
         desalign_failpoint::install("serve.engine=err@1~3").unwrap();
         for i in 1..=3 {
             let answers = slot.answer_batch(&engine, &one_query());
-            // The shadow index absorbs the fault: callers still get answers.
+            // The exhaustive scan absorbs the fault: callers still get answers.
             assert!(answers[0].is_ok(), "batch {i} not absorbed by fallback");
         }
         assert!(slot.breaker_open(), "threshold=3 consecutive faults must open the breaker");

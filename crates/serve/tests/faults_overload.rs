@@ -7,27 +7,13 @@
 //! Failpoint schedules are process-global, so every test takes
 //! `desalign_failpoint::exclusive()`.
 
-use desalign_serve::{AlignEngine, ServeConfig, Server};
-use desalign_tensor::Matrix;
+use desalign_serve::{round_trip, AlignEngine, ServeConfig, Server};
+use desalign_testkit::synth_matrix;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| ((splitmix(seed.wrapping_add(i as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
 
 fn exact_engine() -> AlignEngine {
     AlignEngine::from_embeddings(
@@ -47,19 +33,6 @@ fn ivf_engine() -> AlignEngine {
     AlignEngine::from_embeddings(synth_matrix(48, 16, 3), synth_matrix(64, 16, 5), &cfg, 64).unwrap()
 }
 
-/// One round-trip on a fresh connection; returns (status, raw head, body).
-fn round_trip(addr: std::net::SocketAddr, method: &str, path: &str, body: &str, headers: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let request = format!("{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n{body}", body.len());
-    s.write_all(request.as_bytes()).unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).unwrap();
-    let (head, body) = out.split_once("\r\n\r\n").expect("framed response");
-    let status: u16 = head.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("status line");
-    (status, head.to_string(), body.to_string())
-}
-
 #[test]
 fn saturated_queue_sheds_with_503_and_retry_after() {
     let _guard = desalign_failpoint::exclusive();
@@ -70,9 +43,9 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
     // Hold the first query in the engine for 600ms so the second one
     // arrives while the queue slot is occupied.
     desalign_failpoint::install("serve.engine=delay:600@1").unwrap();
-    let slow = std::thread::spawn(move || round_trip(addr, "POST", "/v1/align", r#"{"entity": 1, "k": 3}"#, ""));
+    let slow = std::thread::spawn(move || round_trip(addr, "POST", "/v1/align", r#"{"entity": 1, "k": 3}"#, "").unwrap());
     std::thread::sleep(Duration::from_millis(150));
-    let (status, head, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 2, "k": 3}"#, "");
+    let (status, head, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 2, "k": 3}"#, "").unwrap();
     assert_eq!(status, 503, "over-capacity query must be shed: {body}");
     assert!(head.contains("Retry-After: 1"), "shed response must carry Retry-After, got:\n{head}");
     assert!(body.contains("serve.admission"), "{body}");
@@ -83,7 +56,7 @@ fn saturated_queue_sheds_with_503_and_retry_after() {
     desalign_failpoint::clear();
 
     // Capacity freed: the next query is admitted again.
-    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 2, "k": 3}"#, "");
+    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 2, "k": 3}"#, "").unwrap();
     assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
@@ -98,7 +71,7 @@ fn zero_deadline_budget_is_shed_before_scoring() {
         "/v1/align",
         r#"{"entity": 0, "k": 3}"#,
         "x-desalign-deadline-ms: 0\r\n",
-    );
+    ).unwrap();
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("serve.deadline"), "expired budget must surface the deadline location: {body}");
     // A generous budget answers normally.
@@ -108,7 +81,7 @@ fn zero_deadline_budget_is_shed_before_scoring() {
         "/v1/align",
         r#"{"entity": 0, "k": 3}"#,
         "x-desalign-deadline-ms: 30000\r\n",
-    );
+    ).unwrap();
     assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
@@ -126,27 +99,27 @@ fn breaker_degrades_readiness_and_recovers_when_faults_stop() {
     let server = Server::start(ivf_engine(), &cfg).unwrap();
     let addr = server.addr();
 
-    let (status, _, body) = round_trip(addr, "GET", "/readyz", "", "");
+    let (status, _, body) = round_trip(addr, "GET", "/readyz", "", "").unwrap();
     assert_eq!(status, 200, "{body}");
 
-    // Two consecutive engine faults: the exact-scan fallback absorbs
+    // Two consecutive engine faults: the exhaustive-scan fallback absorbs
     // both (clients still get 200s), and the breaker opens.
     desalign_failpoint::install("serve.engine=err@1~2").unwrap();
     for i in 0..2 {
-        let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 1, "k": 3}"#, "");
+        let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 1, "k": 3}"#, "").unwrap();
         assert_eq!(status, 200, "fault {i} must be absorbed by the fallback: {body}");
     }
-    let (status, _, body) = round_trip(addr, "GET", "/readyz", "", "");
+    let (status, _, body) = round_trip(addr, "GET", "/readyz", "", "").unwrap();
     assert_eq!(status, 503, "open breaker must fail readiness: {body}");
     assert!(body.contains("\"breaker\":\"open\""), "{body}");
-    let (_, _, health) = round_trip(addr, "GET", "/healthz", "", "");
+    let (_, _, health) = round_trip(addr, "GET", "/healthz", "", "").unwrap();
     assert!(health.contains("\"breaker\":\"open\""), "liveness stays 200 but reports state: {health}");
 
     // Faults stop (schedule range exhausted): the next align is a
     // half-open probe, succeeds, and closes the breaker.
-    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 1, "k": 3}"#, "");
+    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 1, "k": 3}"#, "").unwrap();
     assert_eq!(status, 200, "{body}");
-    let (status, _, body) = round_trip(addr, "GET", "/readyz", "", "");
+    let (status, _, body) = round_trip(addr, "GET", "/readyz", "", "").unwrap();
     assert_eq!(status, 200, "breaker must close after a clean probe: {body}");
     desalign_failpoint::clear();
     server.shutdown();
@@ -168,19 +141,19 @@ fn reload_swaps_generations_and_faulted_reload_rolls_back() {
     let server = Server::start_reloadable(exact_engine(), &cfg, reloader).unwrap();
     let addr = server.addr();
 
-    let (_, _, health) = round_trip(addr, "GET", "/healthz", "", "");
+    let (_, _, health) = round_trip(addr, "GET", "/healthz", "", "").unwrap();
     assert!(health.contains("\"generation\":1"), "{health}");
 
     // Clean reload: generation bumps, the server keeps answering.
-    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", "", "");
+    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", "", "").unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"generation\":2"), "{body}");
-    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 3}"#, "");
+    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 3}"#, "").unwrap();
     assert_eq!(status, 200, "{body}");
 
     // Reload with an explicit checkpoint path: the path reaches the
     // reloader verbatim.
-    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", r#"{"checkpoint": "/tmp/other.ckpt"}"#, "");
+    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", r#"{"checkpoint": "/tmp/other.ckpt"}"#, "").unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"generation\":3"), "{body}");
     assert_eq!(
@@ -192,17 +165,17 @@ fn reload_swaps_generations_and_faulted_reload_rolls_back() {
     // Faulted reload (validation failpoint after a clean build): 503,
     // no swap, and the old generation keeps serving.
     desalign_failpoint::install("serve.reload=err").unwrap();
-    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", "", "");
+    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", "", "").unwrap();
     assert_eq!(status, 503, "faulted reload must be a 503: {body}");
     desalign_failpoint::clear();
     assert_eq!(build_count.load(Ordering::SeqCst), 3, "the candidate was built, then discarded");
-    let (_, _, health) = round_trip(addr, "GET", "/healthz", "", "");
+    let (_, _, health) = round_trip(addr, "GET", "/healthz", "", "").unwrap();
     assert!(health.contains("\"generation\":3"), "rollback must keep the last good generation: {health}");
-    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 3}"#, "");
+    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 3}"#, "").unwrap();
     assert_eq!(status, 200, "serving must continue after a failed reload: {body}");
 
     // Malformed reload bodies are 400s, not faults.
-    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", r#"{"checkpoint": 7}"#, "");
+    let (status, _, body) = round_trip(addr, "POST", "/admin/reload", r#"{"checkpoint": 7}"#, "").unwrap();
     assert_eq!(status, 400, "{body}");
     server.shutdown();
 }
@@ -211,7 +184,7 @@ fn reload_swaps_generations_and_faulted_reload_rolls_back() {
 fn reload_without_a_reloader_is_a_clean_503() {
     let _guard = desalign_failpoint::exclusive();
     let server = Server::start(exact_engine(), &ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
-    let (status, _, body) = round_trip(server.addr(), "POST", "/admin/reload", "", "");
+    let (status, _, body) = round_trip(server.addr(), "POST", "/admin/reload", "", "").unwrap();
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("without a reloader"), "{body}");
     server.shutdown();
@@ -245,7 +218,7 @@ fn socket_read_faults_never_kill_the_server() {
     desalign_failpoint::clear();
     assert!(ok >= 6, "most queries should survive a 1-in-3 flaky read, got {ok}/12");
     // And the server still serves cleanly afterwards.
-    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 2}"#, "");
+    let (status, _, body) = round_trip(addr, "POST", "/v1/align", r#"{"entity": 0, "k": 2}"#, "").unwrap();
     assert_eq!(status, 200, "{body}");
     server.shutdown();
 }

@@ -4,26 +4,10 @@
 //! cache temperature, and connection interleaving. These tests enforce it
 //! on real sockets.
 
-use desalign_serve::{AlignEngine, AlignQuery, Batcher, ServeConfig, Server};
-use desalign_tensor::Matrix;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use desalign_serve::{round_trip, AlignEngine, AlignQuery, Batcher, ServeConfig, Server};
+use desalign_testkit::synth_matrix;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| ((splitmix(seed.wrapping_add(i as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
 
 fn engine(cache: usize) -> AlignEngine {
     AlignEngine::from_embeddings(
@@ -35,16 +19,12 @@ fn engine(cache: usize) -> AlignEngine {
     .unwrap()
 }
 
-/// One full HTTP round-trip on a fresh connection; returns the body.
+/// One `POST /v1/align` on a fresh connection; asserts a 200 and returns
+/// the body.
 fn query_once(server: &Server, body: &str) -> String {
-    let mut s = TcpStream::connect(server.addr()).unwrap();
-    write!(s, "POST /v1/align HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}", body.len(), body)
-        .unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).unwrap();
-    let (head, body) = out.split_once("\r\n\r\n").expect("framed response");
-    assert!(head.starts_with("HTTP/1.1 200"), "{out}");
-    body.to_string()
+    let (status, head, body) = round_trip(server.addr(), "POST", "/v1/align", body, "").unwrap();
+    assert_eq!(status, 200, "{head}\r\n\r\n{body}");
+    body
 }
 
 /// Thread overrides are process-wide, so every phase of the sweep lives in
@@ -112,7 +92,7 @@ fn entity_vector_and_wire_roundtrips_agree() {
     // A query sent as an entity id and the same row sent as an explicit
     // vector must serialize to identical candidate lists on the wire.
     let eng = engine(0);
-    let row: Vec<f32> = (0..16).map(|j| eng_row_value(3, j)).collect();
+    let row = synth_matrix(48, 16, 3).row(3).to_vec();
     let server = Server::start(engine(0), &ServeConfig { workers: 2, ..ServeConfig::default() }).unwrap();
     let by_id = query_once(&server, r#"{"entity": 3, "k": 6}"#);
     let vec_json: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
@@ -122,7 +102,3 @@ fn entity_vector_and_wire_roundtrips_agree() {
     server.shutdown();
 }
 
-/// The value `synth_matrix(48, 16, 3)` puts at `(row, col)`.
-fn eng_row_value(row: usize, col: usize) -> f32 {
-    ((splitmix(3u64.wrapping_add((row * 16 + col) as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0
-}

@@ -6,25 +6,11 @@
 //! Failpoint schedules are process-global, so every test takes
 //! `desalign_failpoint::exclusive()`.
 
-use desalign_serve::{AlignEngine, ServeConfig, Server};
-use desalign_tensor::Matrix;
+use desalign_serve::{round_trip, AlignEngine, ServeConfig, Server};
+use desalign_testkit::synth_matrix;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| ((splitmix(seed.wrapping_add(i as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
 
 fn engine() -> AlignEngine {
     AlignEngine::from_embeddings(
@@ -34,18 +20,6 @@ fn engine() -> AlignEngine {
         64,
     )
     .unwrap()
-}
-
-fn round_trip(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(s, "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}", body.len())
-        .unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).unwrap();
-    let (head, body) = out.split_once("\r\n\r\n").expect("framed response");
-    let status: u16 = head.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("status line");
-    (status, body.to_string())
 }
 
 #[test]
@@ -58,15 +32,15 @@ fn shutdown_racing_an_in_flight_batch_answers_the_batch() {
     // Hold the first engine batch for 400ms, then race a shutdown into
     // the middle of it.
     desalign_failpoint::install("serve.engine=delay:400@1").unwrap();
-    let slow = std::thread::spawn(move || round_trip(addr, "POST", "/v1/align", r#"{"entity": 3, "k": 4}"#));
+    let slow = std::thread::spawn(move || round_trip(addr, "POST", "/v1/align", r#"{"entity": 3, "k": 4}"#, "").unwrap());
     std::thread::sleep(Duration::from_millis(100));
-    let (status, body) = round_trip(addr, "POST", "/admin/shutdown", "");
+    let (status, _, body) = round_trip(addr, "POST", "/admin/shutdown", "", "").unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("draining"), "{body}");
 
     // The in-flight request must still receive its complete answer —
     // drain means "finish what was admitted", not "drop it".
-    let (status, body) = slow.join().unwrap();
+    let (status, _, body) = slow.join().unwrap();
     assert_eq!(status, 200, "in-flight request dropped during drain: {body}");
     assert!(body.contains("candidates"), "{body}");
 
@@ -97,14 +71,14 @@ fn shutdown_racing_a_mid_build_reload_drains_cleanly() {
     let server = Server::start_reloadable(engine(), &cfg, reloader).unwrap();
     let addr = server.addr();
 
-    let reload = std::thread::spawn(move || round_trip(addr, "POST", "/admin/reload", ""));
+    let reload = std::thread::spawn(move || round_trip(addr, "POST", "/admin/reload", "", "").unwrap());
     std::thread::sleep(Duration::from_millis(100));
-    let (status, body) = round_trip(addr, "POST", "/admin/shutdown", "");
+    let (status, _, body) = round_trip(addr, "POST", "/admin/shutdown", "", "").unwrap();
     assert_eq!(status, 200, "{body}");
 
     // The reload admitted before the drain still completes with a
     // well-formed response (the swap lands; the server then drains).
-    let (status, body) = reload.join().unwrap();
+    let (status, _, body) = reload.join().unwrap();
     assert_eq!(status, 200, "mid-drain reload must still answer: {body}");
     assert!(body.contains("\"generation\":2"), "{body}");
 

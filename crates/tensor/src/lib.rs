@@ -33,3 +33,4 @@ pub use matrix::Matrix;
 pub use ops::{dot, par_dot};
 pub use random::{glorot_uniform, normal_matrix, rng_from_seed, uniform_matrix, Rng64, SampleRange, SliceRandom};
 pub use rowwise::softmax_slice;
+pub use tile::NtPanels;

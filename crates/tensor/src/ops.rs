@@ -5,7 +5,7 @@
 //! workspace knows its shapes statically, and silent broadcasting is a
 //! classic source of numeric bugs).
 
-use crate::{tile, Matrix};
+use crate::{tile, Matrix, NtPanels};
 
 impl Matrix {
     /// Element-wise sum `self + other`.
@@ -181,11 +181,14 @@ impl Matrix {
     /// `self × otherᵀ` without materializing the transpose.
     ///
     /// Register-tiled like [`Matrix::matmul`]: `other` is packed once into
-    /// transposed 16-wide panels, and each output row keeps four
-    /// accumulator vectors across a panel, one per [`dot`] lane. Every
-    /// element keeps `dot`'s exact 4-lane accumulation tree (lane merge
-    /// order and sequential tail included), so results are bit-identical
-    /// to the per-element `dot` kernel at any thread count (see `tile.rs`).
+    /// transposed 16-wide panels ([`NtPanels::pack`]), and each output row
+    /// keeps four accumulator vectors across a panel, one per [`dot`] lane
+    /// ([`NtPanels::score_into`] on groups of output rows). Every element
+    /// keeps `dot`'s exact 4-lane accumulation tree (lane merge order and
+    /// sequential tail included), so results are bit-identical to the
+    /// per-element `dot` kernel at any thread count (see `tile.rs`). A
+    /// caller scoring many left operands against one right operand packs
+    /// it once with [`NtPanels`] and calls the same kernel per batch.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows(), other.rows());
         self.matmul_nt_into(other, &mut out);
@@ -215,11 +218,12 @@ impl Matrix {
         if out.is_empty() {
             return;
         }
-        let b_panels = tile::pack_rows(other, tile::NR);
+        let b = NtPanels::pack(other);
+        let panels = 0..b.num_panels();
         let a = self.as_slice();
         let cost = n.saturating_mul(k).saturating_mul(m);
         desalign_parallel::par_row_groups(out.as_mut_slice(), m, tile::MR, cost, |i0, chunk| {
-            tile::gemm_nt_block(a, k, m, i0, chunk, &b_panels);
+            b.score_into(&a[i0 * k..(i0 + chunk.len() / m) * k], panels.clone(), chunk);
         });
     }
 

@@ -12,8 +12,11 @@
 //! - `matmul_tn` packs `b`'s columns the same way and reads the left
 //!   operand in place: its row `p` already holds `a[p][i0..i0+MR]` side by
 //!   side, so no packing is needed there.
-//! - `matmul_nt` packs `b` *transposed* ([`pack_rows`]): for each `p`, the
-//!   values `b[j][p]` of one output panel sit side by side.
+//! - `matmul_nt` packs `b` *transposed* ([`NtPanels`]): for each `p`, the
+//!   values `b[j][p]` of one output panel sit side by side. The packing is
+//!   its own public step, so a fixed right operand (the retrieval index's
+//!   items and centroids) is packed once and scored against many left
+//!   batches, a range of panels at a time, by the same microkernel.
 //!
 //! **Bit-exactness invariant.** Tiling here only re-groups *which* output
 //! elements are computed together — it never splits or reorders the
@@ -167,46 +170,121 @@ fn tn_rows<const M: usize>(a: &[f32], b_panels: &[f32], range: Range<usize>, k: 
     }
 }
 
-/// Packs the rows of `src` into `width`-wide panels, transposed: element
-/// `(p, jj)` of panel `q` is `src[q*width + jj][p]`, stored at
-/// `q*cols*width + p*width + jj` and zero-padded past the last row. This is
-/// [`pack_cols`] of `srcᵀ` without materializing the transpose: for each
-/// shared index `p`, one output panel's right-operand values sit side by
-/// side, which is what the `NT` microkernel streams.
-pub(crate) fn pack_rows(src: &Matrix, width: usize) -> Vec<f32> {
-    let (rows, cols) = src.shape();
-    let panels = rows.div_ceil(width).max(1);
-    let mut out = vec![0.0f32; panels * cols * width];
-    for (j, row) in src.as_slice().chunks_exact(cols.max(1)).enumerate() {
-        let base = (j / width) * cols * width + j % width;
-        for (p, &v) in row.iter().enumerate() {
-            out[base + p * width] = v;
+/// The right operand of `a × bᵀ`, packed once into transposed 16-wide
+/// panels ([`WIDTH`](Self::WIDTH)) so any number of left rows can be
+/// scored against it.
+///
+/// Panel `q` holds rows `q*WIDTH .. (q+1)*WIDTH` of `b` side by side: for
+/// each shared index `p`, the values `b[q*WIDTH + jj][p]` are contiguous
+/// (`q*cols*WIDTH + p*WIDTH + jj`), zero-padded past the last row. This is
+/// what the `NT` microkernel streams. [`Matrix::matmul_nt`] is a pack plus
+/// one [`score_into`](Self::score_into) over every panel; callers that
+/// score many query batches against one fixed operand (the retrieval
+/// index's items and centroids) pack once and score a range of panels at a
+/// time, so the scratch they hold is one block of scores, never `n × m`.
+///
+/// Every score is the [`dot`](crate::dot) of its two rows, bit for bit,
+/// whatever the panel range, the number of left rows or their grouping
+/// (see the module docs; pinned by `tests/proptest_tiled.rs`).
+#[derive(Clone, Debug)]
+pub struct NtPanels {
+    data: Vec<f32>,
+    rows: usize,
+    cols: usize,
+}
+
+impl NtPanels {
+    /// Packed rows per panel.
+    pub const WIDTH: usize = NR;
+
+    /// Packs the rows of `src`.
+    pub fn pack(src: &Matrix) -> Self {
+        Self::pack_from(src.rows(), src.cols(), |j, row| row.copy_from_slice(src.row(j)))
+    }
+
+    /// Packs `rows` rows of width `cols`, row `j` written by `fill(j, row)`
+    /// into a scratch buffer (whose prior contents are unspecified). Lets a
+    /// caller pack a transformed or gathered row set without materializing
+    /// it row-major first.
+    pub fn pack_from(rows: usize, cols: usize, mut fill: impl FnMut(usize, &mut [f32])) -> Self {
+        let mut data = vec![0.0f32; rows.div_ceil(NR) * cols * NR];
+        let mut row = vec![0.0f32; cols];
+        for j in 0..rows {
+            fill(j, &mut row);
+            let base = (j / NR) * cols * NR + j % NR;
+            for (p, &v) in row.iter().enumerate() {
+                data[base + p * NR] = v;
+            }
+        }
+        Self { data, rows, cols }
+    }
+
+    /// Number of panels, `⌈rows / WIDTH⌉`.
+    pub fn num_panels(&self) -> usize {
+        self.rows.div_ceil(NR)
+    }
+
+    /// The packed rows a panel range covers (padding excluded).
+    pub fn panel_rows(&self, panels: Range<usize>) -> Range<usize> {
+        (panels.start * NR).min(self.rows)..(panels.end * NR).min(self.rows)
+    }
+
+    /// The packed rows back in row-major form.
+    pub fn unpack(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for j in 0..self.rows {
+            let base = (j / NR) * self.cols * NR + j % NR;
+            for (p, v) in out.row_mut(j).iter_mut().enumerate() {
+                *v = self.data[base + p * NR];
+            }
+        }
+        out
+    }
+
+    /// Scores the row-major left rows `a` against the packed rows `panels`
+    /// covers: `out[i*w + j] = dot(a_i, b_{j0 + j})`, where `j0..j0 + w` is
+    /// [`panel_rows`](Self::panel_rows)`(panels)`. The number of left rows
+    /// is `out.len() / w`; every element of `out` is written and padding is
+    /// never stored. Serial — callers parallelize over left-row groups.
+    ///
+    /// # Panics
+    /// Panics if the panel range is out of bounds, `out.len()` is not a
+    /// multiple of `w`, or `a` does not hold `out.len() / w` rows as wide
+    /// as the packed rows.
+    pub fn score_into(&self, a: &[f32], panels: Range<usize>, out: &mut [f32]) {
+        assert!(panels.start <= panels.end && panels.end <= self.num_panels(), "NtPanels::score_into: panels {panels:?} out of 0..{}", self.num_panels());
+        let w = self.panel_rows(panels.clone()).len();
+        if w == 0 {
+            assert!(out.is_empty(), "NtPanels::score_into: {} outputs for an empty panel range", out.len());
+            return;
+        }
+        assert_eq!(out.len() % w, 0, "NtPanels::score_into: {} outputs not a multiple of {w} columns", out.len());
+        let k = self.cols;
+        assert_eq!(a.len(), out.len() / w * k, "NtPanels::score_into: left operand length");
+        let b = &self.data[panels.start * k * NR..panels.end * k * NR];
+        for (g, out_group) in out.chunks_mut(MR * w).enumerate() {
+            let rows = out_group.len() / w;
+            let a_group = &a[g * MR * k..(g * MR + rows) * k];
+            match rows {
+                1 => nt_rows::<1>(a_group, k, w, out_group, b),
+                2 => nt_rows::<2>(a_group, k, w, out_group, b),
+                3 => nt_rows::<3>(a_group, k, w, out_group, b),
+                _ => nt_rows::<4>(a_group, k, w, out_group, b),
+            }
         }
     }
-    out
 }
 
-/// `matmul_nt` on one group of up to [`MR`] output rows.
+/// Scores the `M` rows of `a` (`M × k`, row-major) against the `m` packed
+/// rows of `b_panels`, writing the `M × m` block to `out`.
 ///
-/// `a` is the row-major left operand (`? × k`), `out_chunk` holds the
-/// group's rows of the `? × m` output, `b_panels` is [`pack_rows`]`(b, NR)`.
-pub(crate) fn gemm_nt_block(a: &[f32], k: usize, m: usize, i0: usize, out_chunk: &mut [f32], b_panels: &[f32]) {
-    debug_assert!(m > 0);
-    match out_chunk.len() / m {
-        1 => nt_rows::<1>(a, k, m, i0, out_chunk, b_panels),
-        2 => nt_rows::<2>(a, k, m, i0, out_chunk, b_panels),
-        3 => nt_rows::<3>(a, k, m, i0, out_chunk, b_panels),
-        _ => nt_rows::<4>(a, k, m, i0, out_chunk, b_panels),
-    }
-}
-
 /// Each output element `(i, j)` replicates [`dot`](crate::dot)`(a[i], b[j])`
 /// exactly: lane `l` of row `mi` accumulates the products with `p ≡ l
 /// (mod 4)` over the whole chunks, ascending — one vector across the
 /// panel's `NR` columns per lane — then the lanes merge as
 /// `((l0 + l1) + l2) + l3` and the `k mod 4` tail is added in order.
-fn nt_rows<const M: usize>(a: &[f32], k: usize, m: usize, i0: usize, out_chunk: &mut [f32], b_panels: &[f32]) {
-    let arows: [&[f32]; M] = std::array::from_fn(|mi| &a[(i0 + mi) * k..(i0 + mi + 1) * k]);
+fn nt_rows<const M: usize>(a: &[f32], k: usize, m: usize, out: &mut [f32], b_panels: &[f32]) {
+    let arows: [&[f32]; M] = std::array::from_fn(|mi| &a[mi * k..(mi + 1) * k]);
     let chunks = k / 4;
     for q in 0..m.div_ceil(NR) {
         let j0 = q * NR;
@@ -235,7 +313,7 @@ fn nt_rows<const M: usize>(a: &[f32], k: usize, m: usize, i0: usize, out_chunk: 
                     s[jj] += av * bp[jj];
                 }
             }
-            out_chunk[mi * m + j0..mi * m + j0 + width].copy_from_slice(&s[..width]);
+            out[mi * m + j0..mi * m + j0 + width].copy_from_slice(&s[..width]);
         }
     }
 }

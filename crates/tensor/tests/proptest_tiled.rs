@@ -18,7 +18,7 @@
 //! `PAR_MIN_COST` so the parallel path genuinely dispatches.
 
 use desalign_parallel::{fixed_block_len, with_threads};
-use desalign_tensor::{dot, Matrix, Rng64};
+use desalign_tensor::{dot, Matrix, NtPanels, Rng64};
 use desalign_testkit::{check, ensure, gen};
 
 const CASES: u64 = 24;
@@ -172,6 +172,35 @@ fn tiled_matmul_nt_bit_matches_dot_reference() {
             for threads in [1usize, 2, 7] {
                 let got = with_threads(threads, || a.matmul_nt(b));
                 ensure!(bits(&got) == want, "matmul_nt {n}x{k}x{m} diverged from dot reference at {threads} threads");
+            }
+            Ok(())
+        });
+    }
+}
+
+/// Packing once and scoring any panel range, with any number of left
+/// rows, gives the `dot` of each pair: the contract the retrieval index
+/// builds on when it scores query blocks against item panels.
+#[test]
+fn packed_panel_ranges_score_like_dot() {
+    for ((n, k, m), cases) in shapes() {
+        check(&format!("nt_panels_{n}x{k}x{m}"), cases, |rng| (gen::matrix(rng, n, k, -5.0, 5.0), gen::matrix(rng, m, k, -5.0, 5.0)), |(a, b)| {
+            let packed = NtPanels::pack(b);
+            ensure!(bits(&packed.unpack()) == bits(b), "unpack(pack(b)) != b for {m}x{k}");
+            let want = naive_nt(a, b);
+            let np = packed.num_panels();
+            for start in 0..=np {
+                for end in start..=np {
+                    let cols = packed.panel_rows(start..end);
+                    let mut out = vec![f32::NAN; n * cols.len()];
+                    packed.score_into(a.as_slice(), start..end, &mut out);
+                    for (i, row) in out.chunks(cols.len().max(1)).enumerate() {
+                        for (jj, s) in row.iter().enumerate() {
+                            let j = cols.start + jj;
+                            ensure!(s.to_bits() == want[(i, j)].to_bits(), "panels {start}..{end}: ({i},{j}) diverged from dot");
+                        }
+                    }
+                }
             }
             Ok(())
         });

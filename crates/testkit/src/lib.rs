@@ -168,6 +168,25 @@ pub mod shrink {
     }
 }
 
+/// The SplitMix64 finalizer: a stateless 64-bit mix, so element `i` of a
+/// fixture is a pure function of `seed + i`.
+pub fn splitmix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Deterministic pseudo-random embeddings in `[-1, 1)`: element `i`
+/// (row-major) is [`splitmix`]`(seed + i)`'s top 24 bits, scaled. The serve
+/// tests and the serve and chaos benches build their engines over these.
+pub fn synth_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let data: Vec<f32> = (0..rows * cols)
+        .map(|i| ((splitmix(seed.wrapping_add(i as u64)) >> 40) as f32 / (1u64 << 23) as f32) * 2.0 - 1.0)
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
 /// Common generators for the workspace's property tests.
 pub mod gen {
     use desalign_tensor::{Matrix, Rng64};
